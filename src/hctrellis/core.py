@@ -15,8 +15,12 @@ import numpy as np
 
 LOG_ZERO = float("-inf")
 
-# 3**25 split terms is already past desk scale; the dense cap is a guard.
-DENSE_MAX_LEAVES = 25
+# Above this the per-model subset tables (2**n entries) stop being cheap;
+# larger ground sets fall back to dict-cached aggregates.
+TABLE_MAX_LEAVES = 22
+# Past the tables every dense split is a Python-level psi call, and 3**23 of
+# those never finish, so the dense trellis stops where the tables stop.
+DENSE_MAX_LEAVES = TABLE_MAX_LEAVES
 # Clusters live in a single machine word.
 BITSET_MAX_LEAVES = 64
 

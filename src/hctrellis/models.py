@@ -23,16 +23,13 @@ import numpy as np
 
 from .core import (
     LOG_ZERO,
+    TABLE_MAX_LEAVES,
     Hierarchy,
     full_mask,
     leaf_indices,
     popcount,
     popcounts,
 )
-
-# Above this the per-model subset tables (2**n entries) stop being cheap;
-# larger ground sets fall back to dict-cached aggregates.
-TABLE_MAX_LEAVES = 22
 
 # Squared masses this far below zero are treated as rounding debris (the
 # generator guarantees leaf masses >= 0 only up to this tolerance).

@@ -18,7 +18,6 @@ from .core import (
     Hierarchy,
     leaf_indices,
     log_sum_exp_array,
-    lowest_leaf,
     pivot_splits,
     pivot_splits_array,
     popcount,
@@ -26,66 +25,16 @@ from .core import (
 from .models import PotentialModel, log_hierarchy_potential
 
 
-class _ContractedModel(PotentialModel):
-    """Scores reduced-space clusters by expanding them to base leaf sets.
-
-    Used for marginal queries: leaf j of the reduced ground set stands for
-    ``leaf_masks[j]`` in the base model, so psi always sees real leaves.
-    """
-
-    kind = "contracted"
-
-    def __init__(self, base: PotentialModel, leaf_masks: list[int]):
-        self.base = base
-        self.leaf_masks = leaf_masks
-        self.n = len(leaf_masks)
-
-    def _expand(self, bits: int) -> int:
-        out = 0
-        for j, mask in enumerate(self.leaf_masks):
-            if bits >> j & 1:
-                out |= mask
-        return out
-
-    def _expand_many(self, arr: np.ndarray) -> np.ndarray:
-        out = np.zeros(arr.size, dtype=np.int64)
-        for j, mask in enumerate(self.leaf_masks):
-            out |= ((arr >> j) & 1) * mask
-        return out
-
-    def _log_psi(self, left: int, right: int) -> float:
-        return self.base.log_psi(self._expand(left), self._expand(right))
-
-    def log_psi_pairs(self, lefts, rights) -> np.ndarray:
-        return self.base.log_psi_pairs(self._expand_many(lefts), self._expand_many(rights))
-
-
 class DenseTrellis:
-    """Memoized dynamic programs over all 2**n - 1 clusters of a ground set.
+    """Memoized dynamic programs over all 2**n - 1 clusters of a ground set."""
 
-    ``leaf_log_weights`` seeds the per-leaf cells (all zero for ordinary
-    inference); marginal queries reuse the class with a contracted ground
-    set and a nonzero seed at the pseudo-leaf.
-    """
-
-    def __init__(
-        self,
-        ground: GroundSet,
-        model: PotentialModel,
-        leaf_log_weights=None,
-    ):
+    def __init__(self, ground: GroundSet, model: PotentialModel):
         if ground.n > DENSE_MAX_LEAVES:
             raise ValueError(f"dense trellis is capped at {DENSE_MAX_LEAVES} leaves")
         if model.n != ground.n:
             raise ValueError("model and ground set disagree on the leaf count")
         self.ground = ground
         self.model = model
-        if leaf_log_weights is None:
-            self._leaf_seeds = np.zeros(ground.n)
-        else:
-            self._leaf_seeds = np.asarray(leaf_log_weights, dtype=np.float64)
-            if self._leaf_seeds.shape != (ground.n,):
-                raise ValueError("need one leaf seed per leaf")
         self.op_count = 0
         self._log_z: np.ndarray | None = None
         self._log_map: np.ndarray | None = None
@@ -103,9 +52,6 @@ class DenseTrellis:
         log_z = np.zeros(size)
         log_map = np.zeros(size)
         map_child = np.zeros(size, dtype=np.int64)
-        for i in range(n):
-            log_z[1 << i] = self._leaf_seeds[i]
-            log_map[1 << i] = self._leaf_seeds[i]
         pc = np.bitwise_count(np.arange(size, dtype=np.int64))
         model = self.model
         ops = 0
@@ -187,16 +133,28 @@ class DenseTrellis:
         if bits & ~self.ground.full:
             raise ValueError("cluster extends past the ground set")
 
-    def _contracted_log_z(self, seed_bits: int, seed_value: float) -> float:
-        others = [1 << i for i in leaf_indices(self.ground.full ^ seed_bits)]
-        masks = sorted([seed_bits] + others, key=lowest_leaf)
-        seeds = [seed_value if m == seed_bits else 0.0 for m in masks]
-        sub = DenseTrellis(
-            GroundSet(len(masks)),
-            _ContractedModel(self.model, masks),
-            leaf_log_weights=seeds,
-        )
-        return sub.log_partition()
+    def _merged_log_z(self, bits: int, seed: float) -> float:
+        """log Z over X with cluster C = ``bits`` merged into one leaf.
+
+        The merged leaf carries log weight ``seed``: Z(C) for a cluster
+        marginal, the fragment potential for a sub-hierarchy marginal.  Only
+        supersets of C need new cells: for each E outside C, up[E] sums
+        psi(C|A, E-A) * up[A] * Z(E-A) over the proper subsets A of E, with
+        Z read from the filled table.  With C at contracted bit 0, the pivot
+        splits of (e << 1) | 1 are exactly those subsets.
+        """
+        expand = np.zeros(1, dtype=np.int64)  # contracted subset -> leaf bits
+        for i in leaf_indices(self.ground.full ^ bits):
+            expand = np.concatenate([expand, expand | (1 << i)])
+        up = np.empty(expand.size)
+        up[0] = seed
+        for e in range(1, expand.size):
+            subs = pivot_splits_array((e << 1) | 1) >> 1
+            lefts = expand[subs]
+            rights = int(expand[e]) ^ lefts
+            lp = self.model.log_psi_pairs(bits | lefts, rights)
+            up[e] = log_sum_exp_array(lp + up[subs] + self._log_z[rights])
+        return float(up[-1])
 
     def marginal_cluster(self, bits: int) -> float:
         """log P(cluster appears in the hierarchy); 0.0 for root/singletons."""
@@ -206,7 +164,7 @@ class DenseTrellis:
             raise ValueError("degenerate posterior: partition function is zero")
         if bits == self.ground.full or popcount(bits) == 1:
             return 0.0
-        return self._contracted_log_z(bits, float(self._log_z[bits])) - log_z
+        return self._merged_log_z(bits, float(self._log_z[bits])) - log_z
 
     def marginal_subhierarchy(self, fragment: Hierarchy) -> float:
         """log P(the fragment appears intact, rooted at its own cluster)."""
@@ -217,7 +175,7 @@ class DenseTrellis:
         seed = log_hierarchy_potential(fragment, self.model)
         if fragment.root == self.ground.full:
             return seed - log_z
-        return self._contracted_log_z(fragment.root, seed) - log_z
+        return self._merged_log_z(fragment.root, seed) - log_z
 
     # -- posterior sampling ----------------------------------------------------
 

@@ -264,9 +264,14 @@ class TestCli:
         assert main(["z", "--data", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
     def test_cap_violation_is_validation_error(self, tmp_path):
+        # 23 leaves is one past the models' subset tables: the guard must
+        # refuse before a fill of ~3**23 per-pair psi calls starts
         data = tmp_path / "big.json"
-        save_dataset(pairwise_dataset(PairwiseWeights.from_triples(26, [])), data)
-        assert main(["z", "--data", str(data), "--model", "constant", "--out", str(tmp_path)]) == 2
+        for n in (23, 26):
+            save_dataset(pairwise_dataset(PairwiseWeights.from_triples(n, [])), data)
+            for model in ("constant", "dasgupta"):
+                args = ["z", "--data", str(data), "--model", model, "--out", str(tmp_path)]
+                assert main(args) == 2
 
     def test_sparse_build_save_load_eval(self, tmp_path, capsys):
         corpus = tmp_path / "test_corpus"

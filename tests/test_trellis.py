@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hctrellis import (
+    DENSE_MAX_LEAVES,
     ConstantModel,
+    CorrelationModel,
     DasguptaModel,
     DenseTrellis,
     GinkgoModel,
@@ -38,6 +41,32 @@ class _ZeroModel(PotentialModel):
         return np.full(len(lefts), LOG_ZERO)
 
 
+class _ForbiddenChildModel(PotentialModel):
+    """Uniform over trees, except that one cluster may never be a child."""
+
+    kind = "forbidden-child"
+
+    def __init__(self, n, forbidden):
+        self.n = n
+        self.forbidden = forbidden
+
+    def _log_psi(self, left, right):
+        return LOG_ZERO if self.forbidden in (left, right) else 0.0
+
+
+def assert_cluster_marginals_match(trellis, summary, n):
+    """Every non-root, non-singleton cluster marginal against the oracle."""
+    for bits in range(1, full_mask(n)):
+        if popcount(bits) < 2:
+            continue
+        expected = summary.marginal(bits)
+        value = trellis.marginal_cluster(bits)
+        if expected == LOG_ZERO:
+            assert value == LOG_ZERO
+        else:
+            assert value == pytest.approx(expected, abs=1e-9)
+
+
 def test_single_leaf_partition_function():
     trellis = DenseTrellis(GroundSet(1), ConstantModel(1))
     assert trellis.log_partition() == 0.0
@@ -52,8 +81,12 @@ def test_constant_model_counts_trees():
 
 
 def test_leaf_cap_guard():
-    with pytest.raises(ValueError):
-        DenseTrellis(GroundSet(26), ConstantModel(26))
+    # the cap is where the models' subset tables stop; construction is lazy,
+    # so the largest allowed size costs nothing here
+    DenseTrellis(GroundSet(DENSE_MAX_LEAVES), ConstantModel(DENSE_MAX_LEAVES))
+    for n in (23, 26):
+        with pytest.raises(ValueError, match="capped"):
+            DenseTrellis(GroundSet(n), ConstantModel(n))
 
 
 def test_model_ground_mismatch():
@@ -78,12 +111,7 @@ class TestOracleEquivalence:
             ).sum() == 1
             if unique:
                 assert tree == summary.map_hierarchy()
-            for i in range(n):
-                for j in range(i + 1, n):
-                    bits = (1 << i) | (1 << j)
-                    assert trellis.marginal_cluster(bits) == pytest.approx(
-                        summary.marginal(bits), abs=1e-9
-                    )
+            assert_cluster_marginals_match(trellis, summary, n)
 
     def test_posterior_normalizes(self):
         for kind in MODEL_KINDS:
@@ -161,6 +189,46 @@ class TestMemoInvariants:
             assert trellis.tree_count_of(bits) == num_hierarchies(popcount(bits))
 
 
+@st.composite
+def pairwise_models(draw):
+    """Dasgupta or correlation scoring over random weights, n = 3..8."""
+    n = draw(st.integers(3, 8))
+    kind = draw(st.sampled_from(("dasgupta", "correlation")))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    low = 0.0 if kind == "dasgupta" else -1.0  # cut weights / signed affinities
+    values = draw(st.lists(st.floats(low, 1.0), min_size=len(pairs), max_size=len(pairs)))
+    weights = PairwiseWeights.from_triples(n, [(i, j, v) for (i, j), v in zip(pairs, values)])
+    beta = draw(st.floats(0.1, 4.0))
+    cls = DasguptaModel if kind == "dasgupta" else CorrelationModel
+    return cls(weights, beta=beta)
+
+
+class TestAnyNIdentities:
+    """Identities that hold at every n, so they reach past the oracle's cap."""
+
+    @staticmethod
+    def check(model):
+        n = model.n
+        trellis = DenseTrellis(GroundSet(n), model)
+        assert np.all(trellis.log_map_table <= trellis.log_z_table)
+        # every hierarchy has exactly n - 2 non-root, non-singleton clusters
+        total = math.fsum(
+            math.exp(trellis.marginal_cluster(bits))
+            for bits in range(1, full_mask(n))
+            if popcount(bits) > 1
+        )
+        assert total == pytest.approx(n - 2, rel=1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(pairwise_models())
+    def test_random_pairwise_weights(self, model):
+        self.check(model)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_ten_leaves(self, kind):
+        self.check(make_model(kind, 10, seed=0))
+
+
 class TestOperationCount:
     def test_requires_fill(self):
         trellis = DenseTrellis(GroundSet(3), ConstantModel(3))
@@ -200,6 +268,14 @@ class TestMarginals:
                 math.exp(trellis.marginal_cluster(0b111 ^ (1 << k))) for k in range(3)
             )
             assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_zero_probability_cluster_is_exact_zero(self):
+        model = _ForbiddenChildModel(5, 0b00110)
+        trellis = DenseTrellis(GroundSet(5), model)
+        assert_cluster_marginals_match(trellis, oracle_summary(GroundSet(5), model), 5)
+        assert trellis.marginal_cluster(0b00110) == LOG_ZERO
+        fragment = Hierarchy(0b00110, {0b00110: (0b00010, 0b00100)})
+        assert trellis.marginal_subhierarchy(fragment) == LOG_ZERO
 
     def test_rejects_bad_cluster(self):
         trellis = DenseTrellis(GroundSet(3), ConstantModel(3))
@@ -306,9 +382,9 @@ class TestSampling:
 
 class TestContraction:
     def test_marginal_reuses_model_payload_semantics(self):
-        # Contracted pseudo-leaves must be scored on their underlying leaf
-        # sets: for mass-based scoring this is detectable because a pseudo
-        # leaf of two real leaves carries their summed vector.
+        # The merged cluster must be scored on its underlying leaf set: for
+        # mass-based scoring this is detectable because a merged leaf of two
+        # real leaves carries their summed vector.
         jet = exact_leaf_jet(5, 3)
         model = GinkgoModel(jet.payloads, lam=jet.config.lam)
         trellis = DenseTrellis(GroundSet(5), model)
