@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import Hierarchy, full_mask, lowest_leaf
+from .core import Hierarchy, full_mask
 from .models import PotentialModel
 
 SCORE_TIE_TOL = 1e-12
@@ -152,6 +152,3 @@ def beam_search_cluster(
     """Best complete tree found by the beam."""
     return beam_search_forest(model, beam_width, lookahead)[0]
 
-
-def partition_signature(clusters) -> tuple[int, ...]:
-    return tuple(sorted(clusters, key=lowest_leaf))

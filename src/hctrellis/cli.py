@@ -47,7 +47,6 @@ def _model_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", default="constant", help="dasgupta|correlation|ginkgo|constant")
     parser.add_argument("--beta", type=float, default=1.0)
     parser.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAM)
-    parser.add_argument("--tcut", type=float, default=DEFAULT_TCUT)
 
 
 def _common_arguments(parser: argparse.ArgumentParser) -> None:
@@ -69,7 +68,7 @@ def _record(args, out: Path, **fields) -> dict:
 
 def _load_instance(args):
     ds = hio.load_dataset(args.data)
-    params = ModelParams(beta=args.beta, lam=args.lam, t_cut=args.tcut)
+    params = ModelParams(beta=args.beta, lam=args.lam)
     model = hio.build_model(ds, args.model, params)
     return ds, model, hio.file_sha256(args.data)
 

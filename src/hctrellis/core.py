@@ -131,18 +131,23 @@ def pivot_splits(parent: int) -> Iterator[int]:
         t = (t - rest) & rest
 
 
+def submasks(bits: int) -> np.ndarray:
+    """Every submask of ``bits``, 0 and ``bits`` included, as an ascending
+    int64 array; built by doubling, one leaf at a time from the lowest."""
+    out = np.zeros(1 << popcount(bits), dtype=np.int64)
+    size = 1
+    for i in leaf_indices(bits):
+        out[size : size << 1] = out[:size] | (1 << i)
+        size <<= 1
+    return out
+
+
 def pivot_splits_array(parent: int) -> np.ndarray:
     """Same enumeration as pivot_splits but as an ascending int64 array."""
     if popcount(parent) < 2:
         raise ValueError("cannot split a singleton cluster")
     pivot = parent & -parent
-    rest_bits = leaf_indices(parent ^ pivot)
-    m = len(rest_bits)
-    idx = np.arange((1 << m) - 1, dtype=np.int64)  # last submask would rebuild parent
-    subs = np.full(idx.size, pivot, dtype=np.int64)
-    for j, b in enumerate(rest_bits):
-        subs |= ((idx >> j) & 1) << b
-    return subs
+    return pivot | submasks(parent ^ pivot)[:-1]  # the last would rebuild parent
 
 
 def split_term_count(n: int) -> int:

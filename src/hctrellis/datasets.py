@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from .baselines import greedy_cluster
-from .jetgen import JetConfig, GeneratedJet, generate_jet
-from .models import DasguptaModel, PairwiseWeights
-from .oracle import oracle_summary
+from .models import PairwiseWeights
 
 
 def random_similarity_weights(n: int, seed, low: float = 0.0, high: float = 1.0) -> PairwiseWeights:
@@ -34,36 +29,9 @@ def random_affinity_weights(n: int, seed) -> PairwiseWeights:
     return PairwiseWeights(w)
 
 
-def jet_corpus(count: int, seed, config: JetConfig | None = None) -> list[GeneratedJet]:
-    """Independent jets; jet i is reproducible from (seed, i) alone."""
-    base = config if config is not None else JetConfig()
-    return [generate_jet(replace(base, seed=(seed, i))) for i in range(count)]
-
-
-def find_greedy_suboptimal_weights(
-    n: int = 6, start_seed: int = 0, attempts: int = 1000, margin: float = 1e-6
-) -> tuple[PairwiseWeights, int]:
-    """Sweep random graphs until greedy agglomeration is strictly beaten.
-
-    Returns the first instance (and its seed) whose exhaustive-search
-    minimum cut cost is below the greedy tree's cost by more than the
-    margin.
-    """
-    from .core import GroundSet
-
-    for seed in range(start_seed, start_seed + attempts):
-        weights = random_similarity_weights(n, seed)
-        model = DasguptaModel(weights)
-        greedy_score, _ = greedy_cluster(model)
-        best_score = oracle_summary(GroundSet(n), model).map_log_potential
-        # log psi = -cost, so a strictly larger optimum means greedy lost.
-        if best_score > greedy_score + margin:
-            return weights, seed
-    raise RuntimeError(f"no greedy-suboptimal graph found in {attempts} attempts")
-
-
-# Frozen instance from the sweep above: the first seed (from 0) where the
-# exhaustive optimum beats greedy on a 6-leaf similarity graph.
+# Frozen instance: the first seed, counting from 0, at which the exact MAP
+# (brute-force oracle) beats greedy agglomeration by more than 1e-6 in log
+# potential of a DasguptaModel over random_similarity_weights(6, seed).
 ADVERSARIAL_N = 6
 ADVERSARIAL_SEED = 0
 

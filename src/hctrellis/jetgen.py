@@ -107,7 +107,6 @@ def _split_vector(
     else:
         raise ValueError("kinematic rejection budget exhausted; config is pathological")
     e_l = (t + t_l - t_r) / (2.0 * m)
-    e_r = (t + t_r - t_l) / (2.0 * m)
     p_mag2 = e_l * e_l - t_l
     p_mag = math.sqrt(p_mag2) if p_mag2 > 0 else 0.0
     cos_t = 1.0 - 2.0 * rng.random()
@@ -115,9 +114,7 @@ def _split_vector(
     phi = 2.0 * math.pi * rng.random()
     dx, dy, dz = sin_t * math.cos(phi), sin_t * math.sin(phi), cos_t
     rest_l = FourVector(e_l, p_mag * dx, p_mag * dy, p_mag * dz)
-    rest_r = FourVector(e_r, -p_mag * dx, -p_mag * dy, -p_mag * dz)
     lab_l = _boost(rest_l, vec, m)
-    _ = _boost(rest_r, vec, m)
     # The right child absorbs the boost rounding so the pair sums to the
     # parent to within one ulp per component.
     lab_r = vec - lab_l

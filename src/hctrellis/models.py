@@ -112,11 +112,10 @@ class ModelParams:
 
     beta: float = 1.0
     lam: float = 1.5
-    t_cut: float = 1.0
 
     def __post_init__(self):
-        if self.beta <= 0 or self.lam <= 0 or self.t_cut <= 0:
-            raise ValueError("beta, lam and t_cut must all be positive")
+        if self.beta <= 0 or self.lam <= 0:
+            raise ValueError("beta and lam must both be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -193,32 +192,36 @@ class _SubsetPairSums:
         return np.array([self.get(int(b)) for b in arr])
 
 
-class _SubsetVectorSums:
-    """Per-cluster component sums of leaf four-vectors, plus squared mass."""
+class _SubsetMass2:
+    """Squared mass of the summed leaf four-vectors of each cluster.
+
+    Same backends as _SubsetPairSums: a dense 2**n table when n is small
+    enough, else a dict cache of (summed vector, squared mass).  Both sum
+    the leaves in ascending order and square through _mass2, so the two
+    backends agree bit for bit.
+    """
 
     def __init__(self, payloads: np.ndarray):
         self.payloads = payloads  # (n, 4) rows (e, px, py, pz)
         self.n = payloads.shape[0]
-        self._vec: np.ndarray | None = None
-        self._t: np.ndarray | None = None
-        self._cache: dict[int, tuple[np.ndarray, float]] = {}
+        self._table: np.ndarray | None = None
+        self._cache: dict[int, tuple[np.ndarray, float]] = {0: (np.zeros(4), 0.0)}
         if self.n <= TABLE_MAX_LEAVES:
             vec = np.zeros((1 << self.n, 4))
             for h in range(self.n):
                 base = 1 << h
                 vec[base : base << 1] = vec[:base] + payloads[h]
-            self._vec = vec
-            self._t = _mass2(vec[:, 0], vec[:, 1], vec[:, 2], vec[:, 3])
+            self._table = _mass2(vec[:, 0], vec[:, 1], vec[:, 2], vec[:, 3])
 
-    def components(self, bits: int) -> np.ndarray:
-        if self._vec is not None:
-            return self._vec[bits]
-        return self._entry(bits)[0]
-
-    def mass2_of(self, bits: int) -> float:
-        if self._t is not None:
-            return float(self._t[bits])
+    def get(self, bits: int) -> float:
+        if self._table is not None:
+            return float(self._table[bits])
         return self._entry(bits)[1]
+
+    def get_many(self, arr: np.ndarray) -> np.ndarray:
+        if self._table is not None:
+            return self._table[arr]
+        return np.array([self.get(int(b)) for b in arr])
 
     def _entry(self, bits: int) -> tuple[np.ndarray, float]:
         cached = self._cache.get(bits)
@@ -226,12 +229,8 @@ class _SubsetVectorSums:
             return cached
         h = bits.bit_length() - 1
         rest = bits ^ (1 << h)
-        if rest == 0:
-            vec = self.payloads[h].copy()
-        else:
-            vec = self._entry(rest)[0] + self.payloads[h]
-        t = float(_mass2(vec[0], vec[1], vec[2], vec[3]))
-        entry = (vec, t)
+        vec = self._entry(rest)[0] + self.payloads[h]
+        entry = (vec, float(_mass2(vec[0], vec[1], vec[2], vec[3])))
         self._cache[bits] = entry
         return entry
 
@@ -314,10 +313,6 @@ class DasguptaModel(PotentialModel):
         )
         return (-self.beta * popcounts(parents)) * cut
 
-    def split_cost(self, left: int, right: int) -> float:
-        """The raw (positive-is-bad) cost contribution of one split."""
-        return -self.log_psi(left, right) / self.beta
-
     def params_dict(self) -> dict:
         return {"beta": self.beta}
 
@@ -392,7 +387,7 @@ class GinkgoModel(PotentialModel):
         self.lam = lam
         self.n = arr.shape[0]
         self.payloads = arr
-        self._sums = _SubsetVectorSums(arr)
+        self._t = _SubsetMass2(arr)
         self._log_norm = math.log(lam) - math.log1p(-math.exp(-lam))
 
     def _density(self, t: float, t_parent: float) -> float:
@@ -405,29 +400,17 @@ class GinkgoModel(PotentialModel):
         return self._log_norm - math.log(t_parent) - self.lam * (t / t_parent)
 
     def _log_psi(self, left: int, right: int) -> float:
-        vl = self._sums.components(left)
-        vr = self._sums.components(right)
-        e, px, py, pz = (vl[0] + vr[0], vl[1] + vr[1], vl[2] + vr[2], vl[3] + vr[3])
-        t_parent = float(_mass2(e, px, py, pz))
+        t_parent = self._t.get(left | right)
         if t_parent <= 0:
             return LOG_ZERO
-        dl = self._density(self._sums.mass2_of(left), t_parent)
-        dr = self._density(self._sums.mass2_of(right), t_parent)
+        dl = self._density(self._t.get(left), t_parent)
+        dr = self._density(self._t.get(right), t_parent)
         return dl + dr
 
     def log_psi_pairs(self, lefts, rights) -> np.ndarray:
-        s = self._sums
-        if s._vec is None:
-            return super().log_psi_pairs(lefts, rights)
-        vl = s._vec[lefts]
-        vr = s._vec[rights]
-        e = vl[:, 0] + vr[:, 0]
-        px = vl[:, 1] + vr[:, 1]
-        py = vl[:, 2] + vr[:, 2]
-        pz = vl[:, 3] + vr[:, 3]
-        t_parent = _mass2(e, px, py, pz)
-        tl = s._t[lefts]
-        tr = s._t[rights]
+        t_parent = self._t.get_many(lefts | rights)
+        tl = self._t.get_many(lefts)
+        tr = self._t.get_many(rights)
         tl = np.where((tl < 0) & (tl >= -KINEMATIC_TOL), 0.0, tl)
         tr = np.where((tr < 0) & (tr >= -KINEMATIC_TOL), 0.0, tr)
         valid = (t_parent > 0) & (tl >= 0) & (tl < t_parent) & (tr >= 0) & (tr < t_parent)
@@ -439,8 +422,8 @@ class GinkgoModel(PotentialModel):
         return np.where(valid, out, LOG_ZERO)
 
     def cluster_vector(self, bits: int) -> FourVector:
-        v = self._sums.components(bits)
-        return FourVector(float(v[0]), float(v[1]), float(v[2]), float(v[3]))
+        e, px, py, pz = self.payloads[leaf_indices(bits)].sum(axis=0)
+        return FourVector(float(e), float(px), float(py), float(pz))
 
     def params_dict(self) -> dict:
         return {"lam": self.lam}

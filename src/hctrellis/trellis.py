@@ -16,11 +16,11 @@ from .core import (
     LOG_ZERO,
     GroundSet,
     Hierarchy,
-    leaf_indices,
     log_sum_exp_array,
     pivot_splits,
     pivot_splits_array,
     popcount,
+    submasks,
 )
 from .models import PotentialModel, log_hierarchy_potential
 
@@ -81,11 +81,6 @@ class DenseTrellis:
         self._ensure_filled()
         return float(self._log_z[self.ground.full])
 
-    def log_z_of(self, bits: int) -> float:
-        self._check_cluster(bits)
-        self._ensure_filled()
-        return float(self._log_z[bits])
-
     def map_hierarchy(self) -> tuple[float, Hierarchy]:
         """The maximum-potential hierarchy and its log potential.
 
@@ -143,9 +138,7 @@ class DenseTrellis:
         Z read from the filled table.  With C at contracted bit 0, the pivot
         splits of (e << 1) | 1 are exactly those subsets.
         """
-        expand = np.zeros(1, dtype=np.int64)  # contracted subset -> leaf bits
-        for i in leaf_indices(self.ground.full ^ bits):
-            expand = np.concatenate([expand, expand | (1 << i)])
+        expand = submasks(self.ground.full ^ bits)  # contracted subset -> leaf bits
         up = np.empty(expand.size)
         up[0] = seed
         for e in range(1, expand.size):

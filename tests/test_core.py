@@ -20,6 +20,7 @@ from hctrellis.core import (
     popcount,
     relabel_hierarchy,
     split_term_count,
+    submasks,
 )
 
 A, B, C, D = 1, 2, 4, 8
@@ -83,6 +84,11 @@ class TestPivotSplits:
     @pytest.mark.parametrize("parent", [0b11, 0b1110100, full_mask(6)])
     def test_array_matches_generator(self, parent):
         assert pivot_splits_array(parent).tolist() == list(pivot_splits(parent))
+
+    @pytest.mark.parametrize("bits", [0, 0b1, 0b1011, 0b1110100, full_mask(6) << 3])
+    def test_submasks_ascending_and_complete(self, bits):
+        expected = [s for s in range(bits + 1) if not s & ~bits]
+        assert submasks(bits).tolist() == expected
 
 
 class TestLogSumExp:

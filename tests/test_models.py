@@ -20,7 +20,7 @@ from hctrellis import (
     log_splitting_density,
 )
 from hctrellis.core import pivot_splits, full_mask
-from hctrellis.models import TABLE_MAX_LEAVES, _SubsetPairSums
+from hctrellis.models import TABLE_MAX_LEAVES, _SubsetMass2, _SubsetPairSums
 
 from conftest import MODEL_KINDS, exact_leaf_jet, make_model
 
@@ -228,11 +228,13 @@ class TestPairSumBackends:
         w = rng.uniform(0, 1, size=(6, 6))
         w = (w + w.T) / 2
         np.fill_diagonal(w, 0.0)
-        table = _SubsetPairSums(w)
-        nodict = _SubsetPairSums(w)
-        nodict._table = None  # force the dict recurrence
-        for bits in range(1 << 6):
-            assert nodict.get(bits) == pytest.approx(table.get(bits), abs=1e-12)
+        payloads = np.array([p.as_tuple() for p in exact_leaf_jet(6, 5).payloads])
+        for make in (lambda: _SubsetPairSums(w), lambda: _SubsetMass2(payloads)):
+            table = make()
+            nodict = make()
+            nodict._table = None  # force the dict recurrence
+            for bits in range(1 << 6):
+                assert nodict.get(bits) == table.get(bits)
 
     def test_large_ground_set_skips_table(self):
         n = TABLE_MAX_LEAVES + 1
@@ -243,13 +245,38 @@ class TestPairSumBackends:
         assert model.log_psi(1, 1 << (n - 1)) == -2 * 0.5
         assert model.log_psi(1, 2) == 0.0
 
+        rng = np.random.default_rng(23)
+        p = rng.normal(0.0, 1.0, size=(n, 3))
+        e = np.sqrt(rng.uniform(1.0, 4.0, size=n) + (p * p).sum(axis=1))
+        ginkgo = GinkgoModel(np.column_stack([e, p]), lam=1.5)
+        assert ginkgo._t._table is None
+        parent = 1 | 1 << 5 | 1 << 11 | 1 << 17 | 1 << 20 | 1 << (n - 1)
+        lefts = np.array(list(pivot_splits(parent)), dtype=np.int64)
+        vec = ginkgo.log_psi_pairs(lefts, parent ^ lefts)
+        assert np.isfinite(vec).any()
+        for l, v in zip(lefts, vec):
+            scalar = ginkgo.log_psi(int(l), parent ^ int(l))
+            assert scalar == pytest.approx(float(v), abs=1e-12)
+
+    def test_ginkgo_keeps_one_mass_table(self):
+        n = 12
+        model = make_model("ginkgo", n, seed=3)
+        arrays = [
+            a
+            for obj in (model, *vars(model).values())
+            for a in getattr(obj, "__dict__", {}).values()
+            if isinstance(a, np.ndarray) and a.size >= 1 << n
+        ]
+        assert len(arrays) == 1
+        assert arrays[0].shape == (1 << n,) and arrays[0].dtype == np.float64
+
 
 class TestModelParams:
     def test_defaults_valid(self):
         p = ModelParams()
-        assert p.beta == 1.0 and p.lam > 0 and p.t_cut > 0
+        assert p.beta == 1.0 and p.lam > 0
 
-    @pytest.mark.parametrize("kwargs", [{"beta": 0.0}, {"lam": -1.0}, {"t_cut": 0.0}])
+    @pytest.mark.parametrize("kwargs", [{"beta": 0.0}, {"lam": -1.0}])
     def test_rejects_nonpositive(self, kwargs):
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
