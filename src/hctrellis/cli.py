@@ -379,11 +379,12 @@ def cmd_bench(args) -> int:
             raise RuntimeError(f"op counter {ops} != closed form {expected} at n={n}")
         ratio = ops / prev_ops if prev_ops else float("nan")
         prev_ops = ops
-        rows.append([n, ops, expected, ratio, wall_fill, wall_map])
+        rows.append([n, ops, expected, ratio, wall_fill, wall_map, wall_fill / ops * 1e9])
     csv_path = out / "bench.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "ops", "ops_closed_form", "ops_ratio", "wall_fill_s", "wall_map_s"])
+        writer.writerow(["n", "ops", "ops_closed_form", "ops_ratio", "wall_fill_s", "wall_map_s",
+                         "ns_per_term"])
         writer.writerows(rows)
     _record(args, out, model=args.model, n_min=args.n_min, n_max=args.n_max)
     print(f"bench table -> {csv_path}")

@@ -142,12 +142,35 @@ def submasks(bits: int) -> np.ndarray:
     return out
 
 
-def pivot_splits_array(parent: int) -> np.ndarray:
-    """Same enumeration as pivot_splits but as an ascending int64 array."""
-    if popcount(parent) < 2:
+def pivot_splits_array(parent: int | np.ndarray) -> np.ndarray:
+    """Same enumeration as pivot_splits but as an ascending int64 array.
+
+    Given an int64 array of parents that all hold the same number k >= 2 of
+    leaves, returns every parent's 2**(k-1) - 1 left children in one flat
+    array, parent by parent, ascending within each parent.  The block is
+    built by doubling across the batch, the way submasks builds one row.
+    """
+    if not isinstance(parent, np.ndarray):
+        if popcount(parent) < 2:
+            raise ValueError("cannot split a singleton cluster")
+        pivot = parent & -parent
+        return pivot | submasks(parent ^ pivot)[:-1]  # the last would rebuild parent
+    k = int(np.bitwise_count(parent[0]))
+    if np.any(np.bitwise_count(parent) != k):
+        raise ValueError("a batch of parents must share one popcount")
+    if k < 2:
         raise ValueError("cannot split a singleton cluster")
     pivot = parent & -parent
-    return pivot | submasks(parent ^ pivot)[:-1]  # the last would rebuild parent
+    rest = parent ^ pivot
+    block = np.empty((parent.size, 1 << (k - 1)), dtype=np.int64)
+    block[:, 0] = pivot
+    size = 1
+    for _ in range(k - 1):
+        low = rest & -rest
+        rest = rest ^ low
+        np.bitwise_or(block[:, :size], low[:, None], out=block[:, size : size << 1])
+        size <<= 1
+    return block[:, :-1].ravel()  # each row's last entry would rebuild its parent
 
 
 def split_term_count(n: int) -> int:

@@ -197,8 +197,9 @@ class _SubsetMass2:
 
     Same backends as _SubsetPairSums: a dense 2**n table when n is small
     enough, else a dict cache of (summed vector, squared mass).  Both sum
-    the leaves in ascending order and square through _mass2, so the two
-    backends agree bit for bit.
+    the leaves in ascending order and subtract the squares in _mass2's
+    order, so the two backends agree bit for bit.  The table is built one
+    component at a time, so construction holds two 2**n arrays, not five.
     """
 
     def __init__(self, payloads: np.ndarray):
@@ -207,11 +208,18 @@ class _SubsetMass2:
         self._table: np.ndarray | None = None
         self._cache: dict[int, tuple[np.ndarray, float]] = {0: (np.zeros(4), 0.0)}
         if self.n <= TABLE_MAX_LEAVES:
-            vec = np.zeros((1 << self.n, 4))
-            for h in range(self.n):
-                base = 1 << h
-                vec[base : base << 1] = vec[:base] + payloads[h]
-            self._table = _mass2(vec[:, 0], vec[:, 1], vec[:, 2], vec[:, 3])
+            table = self._squared_sums(0)
+            for c in (1, 2, 3):
+                table -= self._squared_sums(c)
+            self._table = table
+
+    def _squared_sums(self, c: int) -> np.ndarray:
+        # Component c summed over every cluster by ascending doubling, squared.
+        col = np.zeros(1 << self.n)
+        for h in range(self.n):
+            base = 1 << h
+            np.add(col[:base], self.payloads[h, c], out=col[base : base << 1])
+        return np.multiply(col, col, out=col)
 
     def get(self, bits: int) -> float:
         if self._table is not None:

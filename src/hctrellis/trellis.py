@@ -1,10 +1,12 @@
 """Dense subset trellis: exact partition function, MAP, marginals, sampling.
 
-The trellis memoizes one cell per nonempty cluster, filled bottom-up in
-popcount order, so every cell only reads strictly smaller clusters.  The
-same single pass produces both the summed (partition function) and maxed
-(MAP) recursions plus MAP backpointers; the split-term counter therefore
-advances exactly once per evaluated split.
+The trellis memoizes one cell per nonempty cluster, filled bottom-up one
+popcount level at a time.  Every cell only reads strictly smaller clusters,
+so a whole level is filled in chunks of parents: one block of splits, one
+psi call and one row-wise reduction per chunk.  The same single pass
+produces both the summed (partition function) and maxed (MAP) recursions
+plus MAP backpointers; the split-term counter therefore advances exactly
+once per evaluated split.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ from .core import (
     submasks,
 )
 from .models import PotentialModel, log_hierarchy_potential
+
+# Split terms per fill chunk: each popcount level is filled a block of
+# parents at a time, bounding the temporaries to a few arrays of this length.
+FILL_CHUNK_TERMS = 1 << 14
 
 
 class DenseTrellis:
@@ -55,19 +61,27 @@ class DenseTrellis:
         pc = np.bitwise_count(np.arange(size, dtype=np.int64))
         model = self.model
         ops = 0
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             for k in range(2, n + 1):
-                for parent in np.nonzero(pc == k)[0]:
-                    parent = int(parent)
-                    subs = pivot_splits_array(parent)
-                    comps = parent ^ subs
+                width = (1 << (k - 1)) - 1  # splits per parent
+                level = np.nonzero(pc == k)[0]
+                step = max(1, FILL_CHUNK_TERMS // width)
+                for lo in range(0, level.size, step):
+                    parents = level[lo : lo + step]
+                    subs = pivot_splits_array(parents)
+                    comps = np.repeat(parents, width) ^ subs
                     lp = model.log_psi_pairs(subs, comps)
-                    z_terms = lp + log_z[subs] + log_z[comps]
-                    m_terms = lp + log_map[subs] + log_map[comps]
-                    log_z[parent] = log_sum_exp_array(z_terms)
-                    best = int(np.argmax(m_terms))  # first max = smallest bits
-                    log_map[parent] = m_terms[best]
-                    map_child[parent] = subs[best]
+                    z_terms = (lp + log_z[subs] + log_z[comps]).reshape(-1, width)
+                    m_terms = (lp + log_map[subs] + log_map[comps]).reshape(-1, width)
+                    top = z_terms.max(axis=1)
+                    shift = np.where(top == LOG_ZERO, 0.0, top)  # all-zero rows stay -inf
+                    log_z[parents] = shift + np.log(
+                        np.exp(z_terms - shift[:, None]).sum(axis=1)
+                    )
+                    best = np.argmax(m_terms, axis=1)  # first max = smallest bits
+                    rows = np.arange(parents.size)
+                    log_map[parents] = m_terms[rows, best]
+                    map_child[parents] = subs.reshape(-1, width)[rows, best]
                     ops += subs.size
         self.op_count = ops
         self._log_z = log_z

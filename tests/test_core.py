@@ -85,6 +85,29 @@ class TestPivotSplits:
     def test_array_matches_generator(self, parent):
         assert pivot_splits_array(parent).tolist() == list(pivot_splits(parent))
 
+    @staticmethod
+    def assert_batch_matches_scalar(parents):
+        batch = pivot_splits_array(np.asarray(parents, dtype=np.int64))
+        expected = np.concatenate([pivot_splits_array(int(p)) for p in parents])
+        assert batch.dtype == np.int64 and batch.ndim == 1
+        assert np.array_equal(batch, expected)
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_batch_of_level_matches_scalar_calls(self, k):
+        self.assert_batch_matches_scalar([p for p in range(1 << 10) if popcount(p) == k])
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 12, 16])
+    def test_random_wide_batch_matches_scalar_calls(self, k):
+        rng = np.random.default_rng(k)
+        parents = [mask_of(rng.choice(22, size=k, replace=False)) for _ in range(12)]
+        self.assert_batch_matches_scalar(parents)
+
+    def test_batch_rejects_singletons_and_mixed_sizes(self):
+        with pytest.raises(ValueError):
+            pivot_splits_array(np.array([A, C, 1 << 21], dtype=np.int64))
+        with pytest.raises(ValueError):
+            pivot_splits_array(np.array([A | B, A | B | C], dtype=np.int64))
+
     @pytest.mark.parametrize("bits", [0, 0b1, 0b1011, 0b1110100, full_mask(6) << 3])
     def test_submasks_ascending_and_complete(self, bits):
         expected = [s for s in range(bits + 1) if not s & ~bits]

@@ -307,8 +307,10 @@ class TestCli:
         ) == 0
         rows = list(csv.reader((tmp_path / "bench.csv").open()))
         assert len(rows) == 9
+        per_term = rows[0].index("ns_per_term")
         for row in rows[1:]:
             assert int(row[1]) == int(row[2])
+            assert float(row[per_term]) > 0
 
     def test_count_command(self, tmp_path, capsys):
         assert main(["count", "--n", "10", "--out", str(tmp_path)]) == 0

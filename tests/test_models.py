@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hctrellis import (
     log_splitting_density,
 )
 from hctrellis.core import pivot_splits, full_mask
-from hctrellis.models import TABLE_MAX_LEAVES, _SubsetMass2, _SubsetPairSums
+from hctrellis.models import TABLE_MAX_LEAVES, _mass2, _SubsetMass2, _SubsetPairSums
 
 from conftest import MODEL_KINDS, exact_leaf_jet, make_model
 
@@ -257,6 +258,24 @@ class TestPairSumBackends:
         for l, v in zip(lefts, vec):
             scalar = ginkgo.log_psi(int(l), parent ^ int(l))
             assert scalar == pytest.approx(float(v), abs=1e-12)
+
+    def test_mass_table_construction_peak(self):
+        n = 18
+        rng = np.random.default_rng(18)
+        p = rng.normal(0.0, 1.0, size=(n, 3))
+        payloads = np.column_stack([np.sqrt(rng.uniform(1.0, 4.0, n) + (p * p).sum(axis=1)), p])
+        tracemalloc.start()
+        try:
+            table = _SubsetMass2(payloads)._table
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (1 << n) * 8
+        # same values as squaring a table of summed four-vectors
+        vec = np.zeros((1 << n, 4))
+        for h in range(n):
+            vec[1 << h : 2 << h] = vec[: 1 << h] + payloads[h]
+        assert np.array_equal(table, _mass2(vec[:, 0], vec[:, 1], vec[:, 2], vec[:, 3]))
 
     def test_ginkgo_keeps_one_mass_table(self):
         n = 12

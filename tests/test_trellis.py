@@ -21,7 +21,8 @@ from hctrellis import (
     oracle_summary,
     split_term_count,
 )
-from hctrellis.core import full_mask, popcount
+import hctrellis.trellis as htrellis
+from hctrellis.core import full_mask, log_sum_exp, pivot_splits, popcount
 
 from conftest import MODEL_KINDS, exact_leaf_jet, make_model
 
@@ -203,6 +204,14 @@ def pairwise_models(draw):
     return cls(weights, beta=beta)
 
 
+@st.composite
+def ginkgo_models(draw):
+    """Ginkgo scoring of a generated jet with a drawn seed, n = 3..8."""
+    n = draw(st.integers(3, 8))
+    jet = exact_leaf_jet(n, draw(st.integers(0, 2**16)))
+    return GinkgoModel(jet.payloads, lam=jet.config.lam)
+
+
 class TestAnyNIdentities:
     """Identities that hold at every n, so they reach past the oracle's cap."""
 
@@ -222,6 +231,11 @@ class TestAnyNIdentities:
     @settings(max_examples=25, deadline=None)
     @given(pairwise_models())
     def test_random_pairwise_weights(self, model):
+        self.check(model)
+
+    @settings(max_examples=25, deadline=None)
+    @given(ginkgo_models())
+    def test_random_ginkgo_jets(self, model):
         self.check(model)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -250,6 +264,71 @@ class TestOperationCount:
         ratios = [split_term_count(n + 1) / split_term_count(n) for n in range(8, 15)]
         assert all(abs(r - 3.0) < 0.12 for r in ratios)
         assert ratios == sorted(ratios, reverse=True)
+
+
+def reference_fill(model):
+    """The fill one parent at a time: log Z, log MAP and MAP left children."""
+    size = 1 << model.n
+    log_z, log_map = np.zeros(size), np.zeros(size)
+    child = np.zeros(size, dtype=np.int64)
+    for parent in sorted(range(1, size), key=popcount):
+        if popcount(parent) < 2:
+            continue
+        lefts = np.array(list(pivot_splits(parent)), dtype=np.int64)
+        rights = parent ^ lefts
+        lp = model.log_psi_pairs(lefts, rights)
+        log_z[parent] = log_sum_exp(lp + log_z[lefts] + log_z[rights])
+        m_terms = lp + log_map[lefts] + log_map[rights]
+        best = 0
+        for i in range(1, lefts.size):
+            if m_terms[i] > m_terms[best]:  # ties keep the smaller left child
+                best = i
+        log_map[parent] = m_terms[best]
+        child[parent] = lefts[best]
+    return log_z, log_map, child
+
+
+class TestLevelFill:
+    """The level-batched fill against a per-parent fill and itself."""
+
+    @staticmethod
+    def filled(model):
+        trellis = DenseTrellis(GroundSet(model.n), model)
+        trellis.log_partition()
+        return trellis
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_chunk_size_does_not_change_tables(self, kind, monkeypatch):
+        model = make_model(kind, 9, seed=4)
+        default = self.filled(model)
+        for chunk in (1, 1 << 30):
+            monkeypatch.setattr(htrellis, "FILL_CHUNK_TERMS", chunk)
+            other = self.filled(model)
+            assert np.array_equal(other.log_map_table, default.log_map_table)
+            assert np.array_equal(other._map_child, default._map_child)
+            assert other.op_count == default.op_count == split_term_count(9)
+            np.testing.assert_allclose(
+                other.log_z_table, default.log_z_table, rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS + ("forbidden-child",))
+    def test_matches_per_parent_reference(self, kind):
+        if kind == "forbidden-child":  # every cell holding leaf 0 sums only -inf
+            model = _ForbiddenChildModel(9, forbidden=1)
+        else:
+            model = make_model(kind, 9, seed=2)
+        trellis = self.filled(model)
+        log_z, log_map, child = reference_fill(model)
+        assert np.array_equal(trellis.log_map_table, log_map)
+        assert np.array_equal(trellis._map_child, child)
+        assert not np.isnan(trellis.log_z_table).any()
+        assert np.array_equal(np.isneginf(trellis.log_z_table), np.isneginf(log_z))
+        finite = np.isfinite(log_z)
+        np.testing.assert_allclose(
+            trellis.log_z_table[finite], log_z[finite], rtol=0, atol=1e-12
+        )
+        if kind == "forbidden-child":  # all -inf rows, whose shift must not give NaN
+            assert np.isneginf(log_z).any()
 
 
 class TestMarginals:
