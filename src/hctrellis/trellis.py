@@ -6,7 +6,8 @@ so a whole level is filled in chunks of parents: one block of splits, one
 psi call and one row-wise reduction per chunk.  The same single pass
 produces both the summed (partition function) and maxed (MAP) recursions
 plus MAP backpointers; the split-term counter therefore advances exactly
-once per evaluated split.
+once per evaluated split.  Tree counts run over the same chunks, in int64
+while (2n-3)!! fits and in exact Python ints above.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .core import (
     GroundSet,
     Hierarchy,
     log_sum_exp_array,
-    pivot_splits,
+    num_hierarchies,
     pivot_splits_array,
     popcount,
     submasks,
@@ -45,44 +46,47 @@ class DenseTrellis:
         self._log_z: np.ndarray | None = None
         self._log_map: np.ndarray | None = None
         self._map_child: np.ndarray | None = None
-        self._counts: dict[int, int] | None = None
+        self._counts: np.ndarray | None = None
         self._sample_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- dynamic program ----------------------------------------------------
 
+    def _level_chunks(self):
+        """Yield (parents, lefts, rights, width) for every split, bottom-up one
+        popcount level at a time in chunks of ~FILL_CHUNK_TERMS split terms;
+        each parent owns ``width`` consecutive splits, lefts ascending."""
+        n = self.ground.n
+        pc = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
+        for k in range(2, n + 1):
+            width = (1 << (k - 1)) - 1  # splits per parent
+            level = np.nonzero(pc == k)[0]
+            step = max(1, FILL_CHUNK_TERMS // width)
+            for lo in range(0, level.size, step):
+                parents = level[lo : lo + step]
+                lefts = pivot_splits_array(parents)
+                yield parents, lefts, np.repeat(parents, width) ^ lefts, width
+
     def _ensure_filled(self) -> None:
         if self._log_z is not None:
             return
-        n = self.ground.n
-        size = 1 << n
+        size = 1 << self.ground.n
         log_z = np.zeros(size)
         log_map = np.zeros(size)
         map_child = np.zeros(size, dtype=np.int64)
-        pc = np.bitwise_count(np.arange(size, dtype=np.int64))
-        model = self.model
         ops = 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            for k in range(2, n + 1):
-                width = (1 << (k - 1)) - 1  # splits per parent
-                level = np.nonzero(pc == k)[0]
-                step = max(1, FILL_CHUNK_TERMS // width)
-                for lo in range(0, level.size, step):
-                    parents = level[lo : lo + step]
-                    subs = pivot_splits_array(parents)
-                    comps = np.repeat(parents, width) ^ subs
-                    lp = model.log_psi_pairs(subs, comps)
-                    z_terms = (lp + log_z[subs] + log_z[comps]).reshape(-1, width)
-                    m_terms = (lp + log_map[subs] + log_map[comps]).reshape(-1, width)
-                    top = z_terms.max(axis=1)
-                    shift = np.where(top == LOG_ZERO, 0.0, top)  # all-zero rows stay -inf
-                    log_z[parents] = shift + np.log(
-                        np.exp(z_terms - shift[:, None]).sum(axis=1)
-                    )
-                    best = np.argmax(m_terms, axis=1)  # first max = smallest bits
-                    rows = np.arange(parents.size)
-                    log_map[parents] = m_terms[rows, best]
-                    map_child[parents] = subs.reshape(-1, width)[rows, best]
-                    ops += subs.size
+            for parents, subs, comps, width in self._level_chunks():
+                lp = self.model.log_psi_pairs(subs, comps)
+                z_terms = (lp + log_z[subs] + log_z[comps]).reshape(-1, width)
+                m_terms = (lp + log_map[subs] + log_map[comps]).reshape(-1, width)
+                top = z_terms.max(axis=1)
+                shift = np.where(top == LOG_ZERO, 0.0, top)  # all-zero rows stay -inf
+                log_z[parents] = shift + np.log(np.exp(z_terms - shift[:, None]).sum(axis=1))
+                best = np.argmax(m_terms, axis=1)  # first max = smallest bits
+                rows = np.arange(parents.size)
+                log_map[parents] = m_terms[rows, best]
+                map_child[parents] = subs.reshape(-1, width)[rows, best]
+                ops += subs.size
         self.op_count = ops
         self._log_z = log_z
         self._log_map = log_map
@@ -233,20 +237,16 @@ class DenseTrellis:
     def count_trees(self) -> int:
         """Number of hierarchies the trellis realizes: (2n-3)!! when dense."""
         if self._counts is None:
-            counts: dict[int, int] = {1 << i: 1 for i in range(self.ground.n)}
-            clusters = sorted(range(1, 1 << self.ground.n), key=popcount)
-            for parent in clusters:
-                if popcount(parent) < 2:
-                    continue
-                total = 0
-                for s in pivot_splits(parent):
-                    total += counts[s] * counts[parent ^ s]
-                counts[parent] = total
+            n = self.ground.n
+            fits = num_hierarchies(n) <= np.iinfo(np.int64).max  # bounds every term and sum
+            counts = np.zeros(1 << n, dtype=np.int64 if fits else object)
+            counts[1 << np.arange(n)] = 1
+            for parents, lefts, rights, width in self._level_chunks():
+                counts[parents] = (counts[lefts] * counts[rights]).reshape(-1, width).sum(axis=1)
             self._counts = counts
-        return self._counts[self.ground.full]
+        return int(self._counts[self.ground.full])
 
     def tree_count_of(self, bits: int) -> int:
         self._check_cluster(bits)
         self.count_trees()
-        return self._counts[bits]
-
+        return int(self._counts[bits])

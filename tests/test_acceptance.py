@@ -92,7 +92,7 @@ def test_oracle_equivalence():
 
 @criterion(2, "counting identities")
 def test_counting_identities():
-    for n in range(2, 13):
+    for n in range(2, 15):
         trellis = DenseTrellis(GroundSet(n), ConstantModel(n))
         assert trellis.count_trees() == num_hierarchies(n)
     assert num_hierarchies(4) == 15

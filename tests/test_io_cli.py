@@ -9,6 +9,7 @@ from hctrellis import (
     GroundSet,
     ModelParams,
     PairwiseWeights,
+    num_hierarchies,
 )
 from hctrellis.cli import main
 from hctrellis.datasets import greedy_adversarial_weights, random_similarity_weights
@@ -312,9 +313,11 @@ class TestCli:
             assert int(row[1]) == int(row[2])
             assert float(row[per_term]) > 0
 
-    def test_count_command(self, tmp_path, capsys):
-        assert main(["count", "--n", "10", "--out", str(tmp_path)]) == 0
-        assert "34459425" in capsys.readouterr().out
+    @pytest.mark.parametrize("n", [1, 2, 10, 14])
+    def test_count_command(self, n, tmp_path, capsys):
+        assert main(["count", "--n", str(n), "--out", str(tmp_path)]) == 0
+        closed = num_hierarchies(n)
+        assert f"n={n}: {closed} hierarchies (closed form {closed})" in capsys.readouterr().out
 
     def test_config_file_defaults(self, tmp_path, capsys):
         data = tmp_path / "d.json"

@@ -16,6 +16,7 @@ from hctrellis import (
     LOG_ZERO,
     PairwiseWeights,
     PotentialModel,
+    SparseTrellis,
     log_hierarchy_potential,
     num_hierarchies,
     oracle_summary,
@@ -184,10 +185,44 @@ class TestMemoInvariants:
             assert trellis.log_map_table[1 << i] == 0.0
 
     def test_tree_counts_by_cluster_size(self):
-        trellis = DenseTrellis(GroundSet(6), ConstantModel(6))
-        trellis.count_trees()
-        for bits in range(1, 1 << 6):
-            assert trellis.tree_count_of(bits) == num_hierarchies(popcount(bits))
+        _, counts = all_tree_counts(12)
+        for bits, count in enumerate(counts, start=1):
+            assert type(count) is int
+            assert count == num_hierarchies(popcount(bits))
+
+
+def all_tree_counts(n):
+    trellis = DenseTrellis(GroundSet(n), ConstantModel(n))
+    trellis.count_trees()
+    return trellis, [trellis.tree_count_of(bits) for bits in range(1, 1 << n)]
+
+
+class TestTreeCounts:
+    """The dense count table in int64, in Python ints, and against sparse."""
+
+    def test_int64_holds_the_count_through_18_leaves(self):
+        assert num_hierarchies(18) <= 2**63 - 1 < num_hierarchies(19)
+
+    def test_python_int_path_matches_int64(self, monkeypatch):
+        fixed, expected = all_tree_counts(10)
+        assert fixed._counts.dtype == np.int64
+        monkeypatch.setattr(htrellis, "num_hierarchies", lambda n: 2**63)  # cannot fit
+        exact, counts = all_tree_counts(10)
+        assert exact._counts.dtype == object
+        assert counts == expected
+        assert all(type(c) is int for c in counts)
+        assert type(exact.count_trees()) is int
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_full_sparse_trellis_counts_match(self, n):
+        vertices = {
+            v: [(left, v ^ left) for left in pivot_splits(v)] if popcount(v) > 1 else []
+            for v in range(1, 1 << n)
+        }
+        sparse = SparseTrellis(GroundSet(n), vertices)
+        dense, counts = all_tree_counts(n)
+        assert sparse.count_trees() == dense.count_trees() == num_hierarchies(n)
+        assert counts == [sparse._counts[v] for v in range(1, 1 << n)]
 
 
 @st.composite
@@ -310,6 +345,12 @@ class TestLevelFill:
             np.testing.assert_allclose(
                 other.log_z_table, default.log_z_table, rtol=0, atol=1e-12
             )
+
+    def test_chunk_size_does_not_change_counts(self, monkeypatch):
+        _, default = all_tree_counts(9)
+        for chunk in (1, 1 << 30):
+            monkeypatch.setattr(htrellis, "FILL_CHUNK_TERMS", chunk)
+            assert all_tree_counts(9)[1] == default
 
     @pytest.mark.parametrize("kind", MODEL_KINDS + ("forbidden-child",))
     def test_matches_per_parent_reference(self, kind):
