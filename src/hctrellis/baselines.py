@@ -5,6 +5,31 @@ level-synchronous: every kept partial clustering expands all pairwise
 merges, candidates are ranked by accumulated score plus a short greedy
 lookahead, near-duplicate states (same partition, same score) collapse to
 one, and the top ``beam_width`` survive to the next level.
+
+Each level of the beam is one pass over parallel arrays.  The S kept
+states are an ``S x k`` ``uint64`` array of clusters, ordered by lowest
+leaf, plus a score vector.  The ``C = k(k-1)/2`` merges ``(i, j)`` come
+from ``np.triu_indices`` in the nested-loop order, so candidate
+``s * C + c`` is the c-th merge of state s.  Every psi value comes from
+scalar ``model.log_psi`` through one pair cache.  A level's pairs are
+deduplicated before that cache is probed: each cluster is replaced by its
+rank among the level's distinct clusters, so a pair key ``lo * d + hi``
+over d ranks is exact for every ground set up to ``BITSET_MAX_LEAVES``
+leaves.
+
+A depth-1 lookahead needs no rollout: the best merge after (i, j) either
+avoids both clusters, and is then the state's best pair avoiding i and j,
+or joins the merged cluster to one of the other k-2.  The best avoiding
+pair is among the state's top ``2k-2`` pair scores, since only ``2k-3``
+pairs touch i or j.  A max over floats is exact, so the bonus equals the
+greedy rollout's.  Deeper lookaheads still run that rollout per candidate.
+
+Candidates rank by ``(-(score + bonus), partition)`` in one stable
+``np.lexsort``, so full ties keep the expansion order.  The dedup walk
+then goes down that ranking, drops a candidate whose partition was
+already kept with a score within ``SCORE_TIE_TOL`` (another merge order
+of the same clustering), and builds a ``BeamState`` only for the
+candidates it keeps.
 """
 
 from __future__ import annotations
@@ -12,10 +37,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import Hierarchy, full_mask
 from .models import PotentialModel
 
 SCORE_TIE_TOL = 1e-12
+# Join pairs (merged cluster, other cluster) are scored about this many at a
+# time, which caps the dedup's temporaries; every other per-level array holds
+# at most S * C * k words.
+JOIN_CHUNK_PAIRS = 1 << 15
 
 
 @dataclass
@@ -28,13 +59,6 @@ class BeamState:
 
     def recomputed_score(self, model: PotentialModel) -> float:
         return math.fsum(model.log_psi(l, r) for l, r in self.children.values())
-
-
-def _merge_partition(partition: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
-    merged = partition[i] | partition[j]
-    out = list(partition[:j]) + list(partition[j + 1 :])
-    out[i] = merged  # i < j and the lowest leaf is cluster i's, order is kept
-    return tuple(out)
 
 
 def greedy_cluster(model: PotentialModel) -> tuple[float, Hierarchy]:
@@ -90,12 +114,14 @@ def beam_search_forest(
 ) -> list[tuple[float, Hierarchy]]:
     """Full final beam, best first.  Default width is n(n-1)/2."""
     n = model.n
-    if n == 1:
-        return [(0.0, Hierarchy(1, {}))]
     if beam_width is None:
         beam_width = max(1, n * (n - 1) // 2)
     if beam_width < 1:
         raise ValueError("beam width must be at least 1")
+    if lookahead < 0:
+        raise ValueError("lookahead must be nonnegative")
+    if n == 1:
+        return [(0.0, Hierarchy(1, {}))]
 
     cache: dict[tuple[int, int], float] = {}
 
@@ -107,37 +133,84 @@ def beam_search_forest(
             cache[key] = val
         return val
 
+    def psi_array(ra: np.ndarray, rb: np.ndarray, clusters: np.ndarray) -> np.ndarray:
+        # psi of every broadcast pair of ranks into the sorted array `clusters`;
+        # each distinct pair is looked up once
+        d = len(clusters)
+        pair_keys = np.minimum(ra, rb) * d + np.maximum(ra, rb)
+        uniq, inv = np.unique(pair_keys.ravel(), return_inverse=True)
+        lo, hi = clusters[uniq // d].tolist(), clusters[uniq % d].tolist()
+        vals = np.array([psi(x, y) for x, y in zip(lo, hi)])
+        return vals[inv].reshape(pair_keys.shape)
+
     states = [BeamState(tuple(1 << i for i in range(n)))]
-    for _ in range(n - 1):
-        candidates: list[tuple[float, BeamState]] = []
-        for state in states:
-            part = state.partition
-            for i in range(len(part)):
-                for j in range(i + 1, len(part)):
-                    new_part = _merge_partition(part, i, j)
-                    new_children = dict(state.children)
-                    new_children[part[i] | part[j]] = (part[i], part[j])
-                    new_score = state.log_score + psi(part[i], part[j])
-                    bonus = (
-                        _lookahead_bonus(new_part, psi, lookahead)
-                        if lookahead > 0 and len(new_part) > 1
-                        else 0.0
-                    )
-                    candidates.append(
-                        (new_score + bonus, BeamState(new_part, new_children, new_score))
-                    )
-        candidates.sort(key=lambda c: (-c[0], c[1].partition))
+    parts = np.array([states[0].partition], dtype=np.uint64)
+    scores = np.zeros(1)
+    for k in range(n, 1, -1):
+        S = len(states)
+        I, J = np.triu_indices(k, 1)
+        C = len(I)
+        lefts, rights = parts[:, I], parts[:, J]
+        merged = lefts | rights
+        clusters, ranks = np.unique(np.concatenate([parts, merged], axis=1), return_inverse=True)
+        ranks = ranks.reshape(S, k + C)
+        pair_vals = psi_array(ranks[:, I], ranks[:, J], clusters)
+        cols = np.arange(k)
+        if lookahead == 1 and k > 2:
+            # best psi of the merged cluster against each cluster but i and j
+            rest = np.broadcast_to(cols, (C, k))[(cols != I[:, None]) & (cols != J[:, None])]
+            rest = rest.reshape(C, k - 2)
+            step = max(1, JOIN_CHUNK_PAIRS // (C * (k - 2)))
+            best_join = np.concatenate([
+                psi_array(r[:, k:, None], r[:, rest], clusters).max(axis=2)
+                for r in (ranks[a : a + step] for a in range(0, S, step))
+            ])
+            # best pair avoiding i and j: the first such pair among the top 2k-2
+            top = np.argsort(-pair_vals, axis=1)[:, : min(C, 2 * k - 2)]
+            ti, tj = I[top][:, None, :], J[top][:, None, :]
+            ci, cj = I[None, :, None], J[None, :, None]
+            avoids = (ti != ci) & (ti != cj) & (tj != ci) & (tj != cj)
+            top_vals = np.take_along_axis(pair_vals, top, axis=1)
+            best_avoid = np.take_along_axis(top_vals, avoids.argmax(axis=2), axis=1)
+            best_avoid[~avoids.any(axis=2)] = -np.inf
+            bonus = np.maximum(best_join, best_avoid)
+        else:
+            bonus = 0.0
+        # merge c keeps every column but J[c], with column I[c] replaced
+        keep = np.broadcast_to(cols, (C, k))[cols != J[:, None]].reshape(C, k - 1)
+        new_parts = parts[:, keep]
+        new_parts[:, np.arange(C), I] = merged
+        new_parts = new_parts.reshape(S * C, k - 1)
+        new_scores = scores[:, None] + pair_vals
+        if lookahead > 1 and k > 2:
+            bonus = np.array(
+                [_lookahead_bonus(p, psi, lookahead) for p in new_parts.tolist()]
+            ).reshape(S, C)
+        keys = (new_scores + bonus).ravel()
+        new_scores = new_scores.ravel()
+
+        ranking = np.lexsort(tuple(new_parts.T[::-1]) + (-keys,))
         kept: list[BeamState] = []
+        kept_idx: list[int] = []
         seen: dict[tuple[int, ...], list[float]] = {}
-        for _, state in candidates:
-            scores = seen.setdefault(state.partition, [])
-            if any(abs(state.log_score - s) <= SCORE_TIE_TOL for s in scores):
+        score_list = new_scores.tolist()
+        for idx in ranking.tolist():
+            partition = tuple(new_parts[idx].tolist())
+            score = score_list[idx]
+            prior = seen.setdefault(partition, [])
+            if any(abs(score - s) <= SCORE_TIE_TOL for s in prior):
                 continue  # another merge order of the same clustering
-            scores.append(state.log_score)
-            kept.append(state)
+            prior.append(score)
+            s, c = divmod(idx, C)
+            left, right = int(lefts[s, c]), int(rights[s, c])
+            children = dict(states[s].children)
+            children[left | right] = (left, right)
+            kept.append(BeamState(partition, children, score))
+            kept_idx.append(idx)
             if len(kept) == beam_width:
                 break
         states = kept
+        parts, scores = new_parts[kept_idx], new_scores[kept_idx]
     return [
         (s.log_score, Hierarchy(full_mask(n), s.children))
         for s in sorted(states, key=lambda s: (-s.log_score, s.partition))
@@ -151,4 +224,3 @@ def beam_search_cluster(
 ) -> tuple[float, Hierarchy]:
     """Best complete tree found by the beam."""
     return beam_search_forest(model, beam_width, lookahead)[0]
-

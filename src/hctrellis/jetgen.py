@@ -121,11 +121,11 @@ def _split_vector(
     return lab_l, lab_r
 
 
-def _generate_once(config: JetConfig, rng: np.random.Generator) -> GeneratedJet:
+def _generate_once(config: JetConfig, rng: np.random.Generator):
+    """Draw one jet: its leaves and, per split, (first leaf index, last leaf
+    index, last index of the left child, vector, left vector, right vector)."""
     leaves: list[FourVector] = []
-    split_logs: list[float] = []
-    # (first leaf index, last leaf index, last index of the left child, vector)
-    internal: list[tuple[int, int, int, FourVector]] = []
+    internal: list[tuple[int, int, int, FourVector, FourVector, FourVector]] = []
 
     def rec(vec: FourVector) -> tuple[int, int]:
         t = vec.mass2
@@ -134,33 +134,37 @@ def _generate_once(config: JetConfig, rng: np.random.Generator) -> GeneratedJet:
             idx = len(leaves) - 1
             return idx, idx
         left_vec, right_vec = _split_vector(vec, t, rng, config.lam)
-        split_logs.append(
-            log_splitting_density(max(left_vec.mass2, 0.0), t, config.lam)
-            + log_splitting_density(max(right_vec.mass2, 0.0), t, config.lam)
-        )
         first, left_last = rec(left_vec)
         _, last = rec(right_vec)
-        internal.append((first, last, left_last, vec))
+        internal.append((first, last, left_last, vec, left_vec, right_vec))
         return first, last
 
     rec(config.root)
-    n = len(leaves)
+    return leaves, internal
 
+
+def _assemble(config: JetConfig, leaves, internal) -> GeneratedJet:
+    # Kept apart from the draw so jets a leaf-count filter rejects skip it.
     def span_bits(first: int, last: int) -> int:
         # Leaves are indexed in generation order, so every subtree owns a
         # contiguous index range.
         return full_mask(last + 1) ^ full_mask(first)
 
+    def split_log(vec: FourVector, left: FourVector, right: FourVector) -> float:
+        t = vec.mass2
+        dl = log_splitting_density(max(left.mass2, 0.0), t, config.lam)
+        return dl + log_splitting_density(max(right.mass2, 0.0), t, config.lam)
+
     children = {
         span_bits(a, b): (span_bits(a, mid), span_bits(mid + 1, b))
-        for a, b, mid, _ in internal
+        for a, b, mid, *_ in internal
     }
-    internal_vectors = {span_bits(a, b): v for a, b, _, v in internal}
     return GeneratedJet(
-        tree=Hierarchy(full_mask(n), children),
+        tree=Hierarchy(full_mask(len(leaves)), children),
         payloads=leaves,
-        truth_log_likelihood=math.fsum(split_logs),
-        internal_vectors=internal_vectors,
+        # fsum is exactly rounded, so summing in post-order changes nothing
+        truth_log_likelihood=math.fsum(split_log(v, l, r) for *_, v, l, r in internal),
+        internal_vectors={span_bits(a, b): v for a, b, _, v, *_ in internal},
         config=config,
     )
 
@@ -169,12 +173,12 @@ def generate_jet(config: JetConfig) -> GeneratedJet:
     """Generate one jet; with a leaf-count filter, resample until it lands."""
     rng = np.random.default_rng(config.seed)
     if config.leaf_count_filter is None:
-        return _generate_once(config, rng)
+        return _assemble(config, *_generate_once(config, rng))
     lo, hi = config.leaf_count_filter
     for _ in range(JET_RESAMPLE_BUDGET):
-        jet = _generate_once(config, rng)
-        if lo <= jet.num_leaves() <= hi:
-            return jet
+        leaves, internal = _generate_once(config, rng)
+        if lo <= len(leaves) <= hi:
+            return _assemble(config, leaves, internal)
     raise ValueError(
         f"could not hit {lo}..{hi} leaves in {JET_RESAMPLE_BUDGET} jets; "
         "adjust root mass, lam or t_cut"

@@ -273,9 +273,6 @@ class PotentialModel:
     def _log_psi(self, left: int, right: int) -> float:
         raise NotImplementedError
 
-    def params_dict(self) -> dict:
-        return {}
-
 
 class ConstantModel(PotentialModel):
     """psi == 1 for every split; the posterior is uniform over trees."""
@@ -321,9 +318,6 @@ class DasguptaModel(PotentialModel):
         )
         return (-self.beta * popcounts(parents)) * cut
 
-    def params_dict(self) -> dict:
-        return {"beta": self.beta}
-
 
 class CorrelationModel(PotentialModel):
     """Agreement scoring over signed affinities.
@@ -366,9 +360,6 @@ class CorrelationModel(PotentialModel):
             - 2.0 * self._neg.get_many(rights)
         )
         return (-self.beta) * energy
-
-    def params_dict(self) -> dict:
-        return {"beta": self.beta}
 
 
 class GinkgoModel(PotentialModel):
@@ -432,9 +423,6 @@ class GinkgoModel(PotentialModel):
     def cluster_vector(self, bits: int) -> FourVector:
         e, px, py, pz = self.payloads[leaf_indices(bits)].sum(axis=0)
         return FourVector(float(e), float(px), float(py), float(pz))
-
-    def params_dict(self) -> dict:
-        return {"lam": self.lam}
 
 
 def log_hierarchy_potential(h: Hierarchy, model: PotentialModel) -> float:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hctrellis import (
     DasguptaModel,
@@ -10,7 +11,7 @@ from hctrellis import (
     greedy_cluster,
     log_hierarchy_potential,
 )
-from hctrellis.baselines import BeamState
+from hctrellis.baselines import SCORE_TIE_TOL, BeamState
 from hctrellis.core import full_mask
 from hctrellis.datasets import (
     greedy_adversarial_weights,
@@ -18,6 +19,128 @@ from hctrellis.datasets import (
 )
 
 from conftest import MODEL_KINDS, make_model
+
+ALL_KINDS = MODEL_KINDS + ("constant",)
+
+
+# ---------------------------------------------------------------------------
+# reference beam: the one-object-per-candidate implementation the level
+# arrays replaced, kept verbatim so forests can be compared bit for bit
+
+
+def _merge_partition(partition: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
+    merged = partition[i] | partition[j]
+    out = list(partition[:j]) + list(partition[j + 1 :])
+    out[i] = merged  # i < j and the lowest leaf is cluster i's, order is kept
+    return tuple(out)
+
+
+def _lookahead_bonus(partition: tuple[int, ...], psi, depth: int) -> float:
+    # Greedy rollout of `depth` further merges, scored but not committed.
+    bonus = 0.0
+    parts = list(partition)
+    for _ in range(depth):
+        if len(parts) < 2:
+            break
+        best_val = None
+        best = (0, 1)
+        for i in range(len(parts)):
+            for j in range(i + 1, len(parts)):
+                v = psi(parts[i], parts[j])
+                if best_val is None or v > best_val:
+                    best_val = v
+                    best = (i, j)
+        bonus += best_val
+        i, j = best
+        parts[i] |= parts[j]
+        del parts[j]
+    return bonus
+
+
+def reference_beam_search_forest(
+    model,
+    beam_width: int | None = None,
+    lookahead: int = 1,
+) -> list[tuple[float, Hierarchy]]:
+    """Full final beam, best first.  Default width is n(n-1)/2."""
+    n = model.n
+    if n == 1:
+        return [(0.0, Hierarchy(1, {}))]
+    if beam_width is None:
+        beam_width = max(1, n * (n - 1) // 2)
+    if beam_width < 1:
+        raise ValueError("beam width must be at least 1")
+
+    cache: dict[tuple[int, int], float] = {}
+
+    def psi(a: int, b: int) -> float:
+        key = (a, b) if a < b else (b, a)
+        val = cache.get(key)
+        if val is None:
+            val = model.log_psi(a, b)
+            cache[key] = val
+        return val
+
+    states = [BeamState(tuple(1 << i for i in range(n)))]
+    for _ in range(n - 1):
+        candidates: list[tuple[float, BeamState]] = []
+        for state in states:
+            part = state.partition
+            for i in range(len(part)):
+                for j in range(i + 1, len(part)):
+                    new_part = _merge_partition(part, i, j)
+                    new_children = dict(state.children)
+                    new_children[part[i] | part[j]] = (part[i], part[j])
+                    new_score = state.log_score + psi(part[i], part[j])
+                    bonus = (
+                        _lookahead_bonus(new_part, psi, lookahead)
+                        if lookahead > 0 and len(new_part) > 1
+                        else 0.0
+                    )
+                    candidates.append(
+                        (new_score + bonus, BeamState(new_part, new_children, new_score))
+                    )
+        candidates.sort(key=lambda c: (-c[0], c[1].partition))
+        kept: list[BeamState] = []
+        seen: dict[tuple[int, ...], list[float]] = {}
+        for _, state in candidates:
+            scores = seen.setdefault(state.partition, [])
+            if any(abs(state.log_score - s) <= SCORE_TIE_TOL for s in scores):
+                continue  # another merge order of the same clustering
+            scores.append(state.log_score)
+            kept.append(state)
+            if len(kept) == beam_width:
+                break
+        states = kept
+    return [
+        (s.log_score, Hierarchy(full_mask(n), s.children))
+        for s in sorted(states, key=lambda s: (-s.log_score, s.partition))
+    ]
+
+
+def forest_bits(forest):
+    """A forest as (score bits, children) pairs, compared exactly."""
+    return [(score.hex(), dict(tree.children)) for score, tree in forest]
+
+
+def counting_psi(model):
+    """Route model.log_psi through a call counter; return the counter."""
+    calls = [0]
+    raw = model.log_psi
+
+    def log_psi(left, right):
+        calls[0] += 1
+        return raw(left, right)
+
+    model.log_psi = log_psi
+    return calls
+
+
+def assert_same_forest(model, beam_width=None, lookahead=1):
+    expected = reference_beam_search_forest(model, beam_width, lookahead)
+    got = beam_search_forest(model, beam_width, lookahead)
+    assert all(type(score) is float for score, _ in got)
+    assert forest_bits(got) == forest_bits(expected)
 
 
 class TestGreedy:
@@ -86,6 +209,11 @@ class TestBeam:
         with pytest.raises(ValueError):
             beam_search_cluster(make_model("constant", 3, seed=0), beam_width=0)
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_negative_lookahead_rejected(self, n):
+        with pytest.raises(ValueError, match="lookahead"):
+            beam_search_cluster(make_model("dasgupta", n, seed=0), lookahead=-1)
+
     def test_forest_is_sorted_and_bounded(self):
         model = make_model("dasgupta", 6, seed=5)
         forest = beam_search_forest(model, beam_width=7)
@@ -103,6 +231,38 @@ class TestBeam:
         forest = beam_search_forest(model, beam_width=50)
         signatures = [tree.signature() for _, tree in forest]
         assert len(signatures) == len(set(signatures))
+
+
+class TestBeamMatchesReference:
+    """The level-array beam returns the reference's forest bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(ALL_KINDS),
+        n=st.integers(2, 10),
+        seed=st.integers(0, 10**6),
+        beam_width=st.sampled_from([1, 3, None]),
+        lookahead=st.sampled_from([0, 1, 2]),
+    )
+    def test_small_models(self, kind, n, seed, beam_width, lookahead):
+        assert_same_forest(make_model(kind, n, seed), beam_width, lookahead)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_fourteen_leaves(self, kind):
+        assert_same_forest(make_model(kind, 14, seed=1))
+
+    @pytest.mark.parametrize("lookahead", [0, 1, 2])
+    def test_same_psi_calls(self, lookahead):
+        model = make_model("ginkgo", 9, seed=3)
+        calls = counting_psi(model)
+        reference_beam_search_forest(model, lookahead=lookahead)
+        expected, calls[0] = calls[0], 0
+        beam_search_forest(model, lookahead=lookahead)
+        assert calls[0] == expected > 0
+
+    def test_clusters_past_32_bits(self):
+        # pair keys over 40 leaves need all 64 bits of a cluster
+        assert_same_forest(make_model("dasgupta", 40, seed=2), beam_width=3)
 
 
 class TestBeamState:

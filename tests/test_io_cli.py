@@ -175,6 +175,19 @@ class TestCli:
             greedy, beam, trellis = map(float, row[2:5])
             assert trellis + 1e-9 >= beam and trellis + 1e-9 >= greedy
 
+    def test_baselines_rejects_negative_lookahead(self, tmp_path, capsys):
+        data = tmp_path / "d.json"
+        _write_two_leaf_dataset(data)
+        args = ["baselines", "--data", str(data), "--lookahead", "-1", "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert "lookahead must be nonnegative" in capsys.readouterr().err
+
+    def test_sparse_beam_builder_rejects_negative_lookahead(self, tmp_path, capsys):
+        args = ["sparse", "--builder", "bs", "--n-leaves", "4", "--num-seeds", "1",
+                "--lookahead", "-1", "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert "lookahead must be nonnegative" in capsys.readouterr().err
+
     def test_sample_frequencies(self, tmp_path):
         corpus = tmp_path / "c"
         assert main(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -98,6 +99,39 @@ class TestDeterminism:
         assert a.tree == b.tree
         assert all(x == y for x, y in zip(a.payloads, b.payloads))
         assert a.truth_log_likelihood == b.truth_log_likelihood
+
+
+def jet_digest(jet) -> str:
+    """Hash of a jet's payloads, tree, truth log likelihood and internal vectors."""
+    h = hashlib.sha256()
+    for v in jet.payloads:
+        h.update(repr(tuple(x.hex() for x in v.as_tuple())).encode())
+    h.update(repr(sorted(jet.tree.children.items())).encode())
+    h.update(jet.truth_log_likelihood.hex().encode())
+    for bits, v in sorted(jet.internal_vectors.items()):
+        h.update(repr((bits, tuple(x.hex() for x in v.as_tuple()))).encode())
+    return h.hexdigest()[:16]
+
+
+SPARSE_ROOT = FourVector(200.0, 0.0, 0.0, 100.0)  # 24 leaves in about 1 jet of 55
+REST_ROOT = FourVector(100.0, 0.0, 0.0, 0.0)
+
+
+class TestFrozenJets:
+    """Jets at fixed seeds hash to recorded digests, so a change to the RNG
+    stream or to the tree bookkeeping after the leaf-count filter shows."""
+
+    @pytest.mark.parametrize("root, leaf_filter, seed, digest", [
+        (SPARSE_ROOT, (24, 24), 1, "d627a2acfce2ccc5"),
+        (SPARSE_ROOT, (24, 24), (3, 1_000_000), "3208a7fac4534bdd"),
+        (REST_ROOT, (14, 14), (2, 14), "bb3b563efbf582d9"),
+        (jetgen.DEFAULT_ROOT, (5, 8), 7, "d6e1e35a7d70eba0"),
+        (jetgen.DEFAULT_ROOT, (9, 9), (1, 9, 0), "3b80102753905fda"),
+        (jetgen.DEFAULT_ROOT, None, (9, 9), "be8f2854fda99c00"),
+    ])
+    def test_digest(self, root, leaf_filter, seed, digest):
+        jet = generate_jet(JetConfig(root=root, lam=1.5, seed=seed, leaf_count_filter=leaf_filter))
+        assert jet_digest(jet) == digest
 
 
 class TestLeafCountFilter:
