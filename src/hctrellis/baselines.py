@@ -1,6 +1,8 @@
 """Agglomerative baselines driven by the same split potentials.
 
-Greedy merges the locally best pair at each step.  Beam search is
+Greedy merges the locally best pair at each step, found by the same pair
+scan (``_best_pair``, first maximum in nested ``(i, j)`` order) that the
+beam's depth >= 2 lookahead rollout runs.  Beam search is
 level-synchronous: every kept partial clustering expands all pairwise
 merges, candidates are ranked by accumulated score plus a short greedy
 lookahead, near-duplicate states (same partition, same score) collapse to
@@ -61,6 +63,18 @@ class BeamState:
         return math.fsum(model.log_psi(l, r) for l, r in self.children.values())
 
 
+def _best_pair(parts: list[int], psi) -> tuple[float, int, int]:
+    """The highest psi over pairs of ``parts`` and its (i, j), i < j; the
+    first maximum in nested (i, j) order wins."""
+    best = None
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            v = psi(parts[i], parts[j])
+            if best is None or v > best[0]:
+                best = (v, i, j)
+    return best
+
+
 def greedy_cluster(model: PotentialModel) -> tuple[float, Hierarchy]:
     """n-1 locally optimal merges; ties go to the smallest leaf-index pair."""
     n = model.n
@@ -68,19 +82,10 @@ def greedy_cluster(model: PotentialModel) -> tuple[float, Hierarchy]:
     children: dict[int, tuple[int, int]] = {}
     score = 0.0
     for _ in range(n - 1):
-        best_val = None
-        best = (0, 1)
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                v = model.log_psi(clusters[i], clusters[j])
-                if best_val is None or v > best_val:
-                    best_val = v
-                    best = (i, j)
-        i, j = best
-        merged = clusters[i] | clusters[j]
-        children[merged] = (clusters[i], clusters[j])
+        best_val, i, j = _best_pair(clusters, model.log_psi)
+        children[clusters[i] | clusters[j]] = (clusters[i], clusters[j])
         score += best_val
-        clusters[i] = merged
+        clusters[i] |= clusters[j]
         del clusters[j]
     return score, Hierarchy(full_mask(n), children)
 
@@ -89,19 +94,9 @@ def _lookahead_bonus(partition: tuple[int, ...], psi, depth: int) -> float:
     # Greedy rollout of `depth` further merges, scored but not committed.
     bonus = 0.0
     parts = list(partition)
-    for _ in range(depth):
-        if len(parts) < 2:
-            break
-        best_val = None
-        best = (0, 1)
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                v = psi(parts[i], parts[j])
-                if best_val is None or v > best_val:
-                    best_val = v
-                    best = (i, j)
+    for _ in range(min(depth, len(parts) - 1)):
+        best_val, i, j = _best_pair(parts, psi)
         bonus += best_val
-        i, j = best
         parts[i] |= parts[j]
         del parts[j]
     return bonus

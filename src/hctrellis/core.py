@@ -252,6 +252,19 @@ class Hierarchy:
     def sibling_pairs(self) -> Iterator[tuple[int, int]]:
         return iter(self.children.values())
 
+    def preorder(self) -> list[int]:
+        """Every node, each parent before its children, left subtree first."""
+        order = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            if popcount(node) > 1:
+                left, right = self.children[node]
+                stack.append(right)
+                stack.append(left)
+        return order
+
     def signature(self) -> tuple:
         return (self.root, tuple(sorted(self.children.items())))
 
@@ -302,6 +315,35 @@ class Hierarchy:
             raise ValueError("unreachable entries in the child map")
         if len(seen) != 2 * popcount(self.root) - 1:
             raise ValueError("node count is not 2k-1")
+
+
+def grow_hierarchy(root: int, split) -> Hierarchy:
+    """Build a hierarchy top-down from ``root``.
+
+    ``split(v)`` names the left child of v, the one holding v's lowest leaf;
+    the right child is the rest of v.  It is called exactly once for every
+    non-singleton node, in preorder with the left subtree first, so a
+    split rule that draws random numbers consumes them in a fixed order.
+    """
+    children: dict[int, tuple[int, int]] = {}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        if v.bit_count() > 1:
+            left = split(v)
+            children[v] = (left, v ^ left)
+            stack.append(v ^ left)
+            stack.append(left)
+    tree = Hierarchy.__new__(Hierarchy)  # the pairs are canonical already
+    tree.root = root
+    tree.children = children
+    return tree
+
+
+def draw_index(cum: np.ndarray, rng: np.random.Generator) -> int:
+    """Index i with probability (cum[i] - cum[i-1]) / cum[-1], from one uniform."""
+    u = rng.random() * cum[-1]
+    return min(int(np.searchsorted(cum, u, side="right")), cum.size - 1)
 
 
 def relabel_hierarchy(h: Hierarchy, perm: list[int]) -> Hierarchy:

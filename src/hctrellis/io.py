@@ -119,26 +119,13 @@ def build_model(ds: Dataset, kind: str, params: ModelParams) -> PotentialModel:
 # trees: parent-array files
 
 
-def _preorder_nodes(h: Hierarchy) -> list[int]:
-    order = []
-    stack = [h.root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if popcount(node) > 1:
-            left, right = h.children[node]
-            stack.append(right)
-            stack.append(left)
-    return order
-
-
 def hierarchy_to_tree_dict(h: Hierarchy, model: PotentialModel | None = None) -> dict:
     """Encode as preorder node list + parent indices (root's parent is -1).
 
     ``n`` records the leaf-index width, not the leaf count, so fragments
     rooted at a non-contiguous cluster (say leaves {0, 2}) survive the trip.
     """
-    nodes = _preorder_nodes(h)
+    nodes = h.preorder()
     index = {node: k for k, node in enumerate(nodes)}
     parents = [-1] * len(nodes)
     for parent, (left, right) in h.children.items():

@@ -7,6 +7,10 @@ their dense counterparts and the sampler draws from the posterior
 restricted to realizable hierarchies.  Edges matter, not just vertices:
 two trellises on the same vertex set can realize very different tree
 counts.
+
+MAP trees and draws come from ``core.grow_hierarchy``, shared with the
+dense engine: the MAP rule reads the stored best pair, and the sampler
+draws no uniform at a vertex with a single pair.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from .core import (
     LOG_ZERO,
     GroundSet,
     Hierarchy,
+    draw_index,
+    grow_hierarchy,
     log_sum_exp,
     lowest_leaf,
     num_hierarchies,
@@ -55,7 +61,7 @@ class LeafOrdering:
     def permutation_for_tree(self, tree: Hierarchy, payloads, rng) -> list[int]:
         n = tree.num_leaves()
         if self.mode == "standard":
-            order = _traversal_leaves(tree)
+            order = [lowest_leaf(v) for v in tree.preorder() if popcount(v) == 1]
         elif self.mode == "random":
             order = [int(i) for i in rng.permutation(n)]
         else:
@@ -74,20 +80,6 @@ class LeafOrdering:
             rng = np.random.default_rng(self.seed)
             return [payloads[int(i)] for i in rng.permutation(n)]
         return [payloads[i] for i in _norm_order(payloads)]
-
-
-def _traversal_leaves(tree: Hierarchy) -> list[int]:
-    order = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if popcount(node) == 1:
-            order.append(lowest_leaf(node))
-            continue
-        left, right = tree.children[node]
-        stack.append(right)
-        stack.append(left)
-    return order
 
 
 def _norm_order(payloads) -> list[int]:
@@ -110,7 +102,6 @@ class SparseTrellis:
         self.ordering = ordering
         self.vertices = self._canonicalize(vertices)
         self._prune()
-        self._validate()
         self._counts: dict[int, int] | None = None
 
     def _canonicalize(self, vertices) -> dict[int, list[tuple[int, int]]]:
@@ -127,24 +118,15 @@ class SparseTrellis:
         return out
 
     def _prune(self) -> None:
-        # Drop pairs that reference absent vertices and vertices that cannot
-        # reach singletons through stored pairs, then anything unreachable
-        # from the root.
-        vertices = self.vertices
-        while True:
-            changed = False
-            for v, pairs in vertices.items():
-                kept = [(l, r) for l, r in pairs if l in vertices and r in vertices]
-                if len(kept) != len(pairs):
-                    vertices[v] = kept
-                    changed = True
-            dead = {v for v, p in vertices.items() if popcount(v) > 1 and not p}
-            if dead:
-                changed = True
-                for v in dead:
-                    del vertices[v]
-            if not changed:
-                break
+        # Keep a vertex when it is a singleton or has a pair whose children
+        # are both kept (children are smaller, so one pass by size settles
+        # every vertex), then drop anything unreachable from the root.  Every
+        # kept vertex thus has a pair, and a kept root reaches every singleton.
+        vertices: dict[int, list[tuple[int, int]]] = {}
+        for v in sorted(self.vertices, key=popcount):
+            pairs = [(l, r) for l, r in self.vertices[v] if l in vertices and r in vertices]
+            if pairs or popcount(v) == 1:
+                vertices[v] = pairs
         root = self.ground.full
         if root not in vertices:
             raise ValueError("the root vertex realizes no hierarchy")
@@ -159,14 +141,6 @@ class SparseTrellis:
                 stack.append(l)
                 stack.append(r)
         self.vertices = {v: vertices[v] for v in sorted(reachable)}
-
-    def _validate(self) -> None:
-        for i in range(self.ground.n):
-            if (1 << i) not in self.vertices:
-                raise ValueError("trellis is missing a singleton vertex")
-        for v, pairs in self.vertices.items():
-            if popcount(v) > 1 and not pairs:
-                raise ValueError(f"vertex {v:#x} has no child pairs")
 
     # -- structure queries ----------------------------------------------------
 
@@ -287,17 +261,7 @@ class SparseEvaluation:
 
     def map_hierarchy(self) -> tuple[float, Hierarchy]:
         """Best realizable tree; the value is its recomputed potential."""
-        children: dict[int, tuple[int, int]] = {}
-        stack = [self.trellis.root]
-        while stack:
-            v = stack.pop()
-            if popcount(v) == 1:
-                continue
-            pair = self._map_pair[v]
-            children[v] = pair
-            stack.append(pair[0])
-            stack.append(pair[1])
-        tree = Hierarchy(self.trellis.root, children)
+        tree = grow_hierarchy(self.trellis.root, lambda v: self._map_pair[v][0])
         return log_hierarchy_potential(tree, self.model), tree
 
     def _split_distribution(self, v: int) -> np.ndarray:
@@ -317,24 +281,14 @@ class SparseEvaluation:
     def sample(self, rng: np.random.Generator) -> Hierarchy:
         if self.log_partition() == LOG_ZERO:
             raise ValueError("degenerate posterior: restricted partition function is zero")
-        children: dict[int, tuple[int, int]] = {}
-        stack = [self.trellis.root]
-        while stack:
-            v = stack.pop()
-            if popcount(v) == 1:
-                continue
+
+        def draw(v: int) -> int:
             pairs = self.trellis.vertices[v]
             if len(pairs) == 1:
-                pick = 0
-            else:
-                cum = self._split_distribution(v)
-                u = rng.random() * cum[-1]
-                pick = min(int(np.searchsorted(cum, u, side="right")), len(pairs) - 1)
-            pair = pairs[pick]
-            children[v] = pair
-            stack.append(pair[1])
-            stack.append(pair[0])
-        return Hierarchy(self.trellis.root, children)
+                return pairs[0][0]  # a single pair needs no uniform
+            return pairs[draw_index(self._split_distribution(v), rng)][0]
+
+        return grow_hierarchy(self.trellis.root, draw)
 
     def sample_hierarchy(self, seed) -> Hierarchy:
         return self.sample(np.random.default_rng(seed))

@@ -8,6 +8,10 @@ produces both the summed (partition function) and maxed (MAP) recursions
 plus MAP backpointers; the split-term counter therefore advances exactly
 once per evaluated split.  Tree counts run over the same chunks, in int64
 while (2n-3)!! fits and in exact Python ints above.
+
+MAP trees and draws come from ``core.grow_hierarchy``, shared with the
+sparse engine: the MAP rule reads the backpointer, and the sampler draws
+one uniform per non-singleton parent, two-leaf parents included.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from .core import (
     LOG_ZERO,
     GroundSet,
     Hierarchy,
+    draw_index,
+    grow_hierarchy,
     log_sum_exp_array,
     num_hierarchies,
     pivot_splits_array,
@@ -109,18 +115,7 @@ class DenseTrellis:
         one.
         """
         self._ensure_filled()
-        children: dict[int, tuple[int, int]] = {}
-        stack = [self.ground.full]
-        while stack:
-            parent = stack.pop()
-            if popcount(parent) < 2:
-                continue
-            left = int(self._map_child[parent])
-            right = parent ^ left
-            children[parent] = (left, right)
-            stack.append(left)
-            stack.append(right)
-        tree = Hierarchy(self.ground.full, children)
+        tree = grow_hierarchy(self.ground.full, lambda parent: int(self._map_child[parent]))
         return log_hierarchy_potential(tree, self.model), tree
 
     @property
@@ -209,21 +204,12 @@ class DenseTrellis:
         conditional p(left | parent) = psi * Z(left) * Z(right) / Z(parent)."""
         if self.log_partition() == LOG_ZERO:
             raise ValueError("degenerate posterior: partition function is zero")
-        children: dict[int, tuple[int, int]] = {}
-        stack = [self.ground.full]
-        while stack:
-            parent = stack.pop()
-            if popcount(parent) < 2:
-                continue
+
+        def draw(parent: int) -> int:
             subs, cum = self._split_distribution(parent)
-            u = rng.random() * cum[-1]
-            pick = min(int(np.searchsorted(cum, u, side="right")), subs.size - 1)
-            left = int(subs[pick])
-            right = parent ^ left
-            children[parent] = (left, right)
-            stack.append(right)
-            stack.append(left)
-        return Hierarchy(self.ground.full, children)
+            return int(subs[draw_index(cum, rng)])
+
+        return grow_hierarchy(self.ground.full, draw)
 
     def sample_hierarchy(self, seed) -> Hierarchy:
         return self.sample(np.random.default_rng(seed))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from hctrellis import ConstantModel, CorrelationModel, DasguptaModel, GinkgoModel
+import hashlib
+
+from hctrellis import ConstantModel, CorrelationModel, DasguptaModel, GinkgoModel, Hierarchy
 from hctrellis.datasets import random_affinity_weights, random_similarity_weights
 from hctrellis.jetgen import JetConfig, generate_jet
 
@@ -25,9 +27,21 @@ def make_model(kind: str, n: int, seed):
 
 def exact_leaf_jet(n: int, seed, lam: float = 1.5):
     base = seed if isinstance(seed, tuple) else (seed,)
-    # a softer cutoff makes 2-3 leaf jets common instead of one-in-a-thousand
-    t_cut = 600.0 if n <= 3 else 35.0
+    # a softer cutoff makes 2-3 leaf jets common instead of one-in-a-thousand;
+    # one leaf needs a cutoff above the root's squared mass (3600), so the
+    # root never splits
+    t_cut = 4000.0 if n == 1 else 600.0 if n <= 3 else 35.0
     return generate_jet(
         JetConfig(lam=lam, t_cut=t_cut, seed=base + (n,), leaf_count_filter=(n, n))
     )
 
+
+def output_digest(*items) -> str:
+    """Hash of hierarchies (root and sorted splits) and floats (exact bits)."""
+    h = hashlib.sha256()
+    for item in items:
+        if isinstance(item, Hierarchy):
+            h.update(repr((item.root, sorted(item.children.items()))).encode())
+        else:
+            h.update(float(item).hex().encode())
+    return h.hexdigest()[:16]

@@ -18,7 +18,7 @@ from hctrellis.datasets import (
     random_similarity_weights,
 )
 
-from conftest import MODEL_KINDS, make_model
+from conftest import MODEL_KINDS, make_model, output_digest
 
 ALL_KINDS = MODEL_KINDS + ("constant",)
 
@@ -118,6 +118,30 @@ def reference_beam_search_forest(
     ]
 
 
+def reference_greedy_cluster(model) -> tuple[float, Hierarchy]:
+    """greedy_cluster as it was before it shared the pair scan, kept verbatim."""
+    n = model.n
+    clusters = [1 << i for i in range(n)]
+    children: dict[int, tuple[int, int]] = {}
+    score = 0.0
+    for _ in range(n - 1):
+        best_val = None
+        best = (0, 1)
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                v = model.log_psi(clusters[i], clusters[j])
+                if best_val is None or v > best_val:
+                    best_val = v
+                    best = (i, j)
+        i, j = best
+        merged = clusters[i] | clusters[j]
+        children[merged] = (clusters[i], clusters[j])
+        score += best_val
+        clusters[i] = merged
+        del clusters[j]
+    return score, Hierarchy(full_mask(n), children)
+
+
 def forest_bits(forest):
     """A forest as (score bits, children) pairs, compared exactly."""
     return [(score.hex(), dict(tree.children)) for score, tree in forest]
@@ -176,6 +200,38 @@ class TestGreedy:
         # with all psi equal the first (lowest-leaf) pair always merges
         _, tree2 = greedy_cluster(model)
         assert tree == tree2
+
+
+class TestGreedyMatchesReference:
+    """greedy_cluster returns the reference's (score, tree) bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(ALL_KINDS), n=st.integers(1, 10), seed=st.integers(0, 10**6))
+    def test_small_models(self, kind, n, seed):
+        model = make_model(kind, n, seed)
+        assert forest_bits([greedy_cluster(model)]) == forest_bits([reference_greedy_cluster(model)])
+
+    @pytest.mark.parametrize("kind, n, digest", [
+        ("constant", 7, "f29d49a51c9ae20b"),
+        ("constant", 12, "5ba63c19ef43d138"),
+        ("dasgupta", 7, "137a7d5e41c3bbae"),
+        ("dasgupta", 12, "fbfab5b55662ffc8"),
+        ("correlation", 7, "9760e1d9a9229367"),
+        ("correlation", 12, "6d076e66dc38de50"),
+        ("ginkgo", 7, "a3cf3c55299fb42b"),
+        ("ginkgo", 12, "629c279cde69269d"),
+    ])
+    def test_frozen_digest(self, kind, n, digest):
+        # (score, tree) digests recorded before greedy shared the pair scan
+        assert output_digest(*greedy_cluster(make_model(kind, n, seed=5))) == digest
+
+    def test_same_psi_calls(self):
+        model = make_model("ginkgo", 9, seed=3)
+        calls = counting_psi(model)
+        reference_greedy_cluster(model)
+        expected, calls[0] = calls[0], 0
+        greedy_cluster(model)
+        assert calls[0] == expected == sum(k * (k - 1) // 2 for k in range(2, 10))
 
 
 class TestBeam:
@@ -239,7 +295,7 @@ class TestBeamMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(
         kind=st.sampled_from(ALL_KINDS),
-        n=st.integers(2, 10),
+        n=st.integers(1, 10),
         seed=st.integers(0, 10**6),
         beam_width=st.sampled_from([1, 3, None]),
         lookahead=st.sampled_from([0, 1, 2]),

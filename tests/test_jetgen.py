@@ -136,9 +136,14 @@ class TestFrozenJets:
 
 class TestLeafCountFilter:
     def test_exact_count(self):
-        for n in (2, 5, 9):
+        for n in (1, 2, 5, 9):
             jet = exact_leaf_jet(n, seed=42)
             assert jet.num_leaves() == n
+
+    def test_single_leaf_on_the_first_draw(self, monkeypatch):
+        monkeypatch.setattr(jetgen, "JET_RESAMPLE_BUDGET", 1)
+        for seed in range(5):
+            assert exact_leaf_jet(1, seed).num_leaves() == 1
 
     def test_range(self):
         jet = generate_jet(JetConfig(seed=10, leaf_count_filter=(5, 10)))

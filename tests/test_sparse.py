@@ -1,10 +1,13 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hctrellis import (
     ConstantModel,
+    DasguptaModel,
     DenseTrellis,
     GinkgoModel,
     GroundSet,
@@ -13,8 +16,10 @@ from hctrellis import (
     enumerate_hierarchies,
     log_hierarchy_potential,
     num_hierarchies,
+    oracle_summary,
 )
-from hctrellis.core import full_mask
+from hctrellis.core import full_mask, log_sum_exp
+from hctrellis.datasets import random_similarity_weights
 from hctrellis.jetgen import JetConfig
 from hctrellis.sparse import (
     LeafOrdering,
@@ -23,7 +28,7 @@ from hctrellis.sparse import (
     build_simulator_trellis,
 )
 
-from conftest import exact_leaf_jet, make_model
+from conftest import exact_leaf_jet, make_model, output_digest
 
 
 def _jet_set(n, count, seed, lam=1.5):
@@ -184,6 +189,61 @@ class TestInference:
             st.evaluate(ConstantModel(6))
 
 
+def assert_draw_frequencies(ev, log_probs: dict, draws: int, seed) -> None:
+    """Per-tree draw frequencies within 5 binomial sigma of exp(log_probs)."""
+    rng = np.random.default_rng(seed)
+    counts = Counter(ev.sample(rng).signature() for _ in range(draws))
+    assert set(counts) <= set(log_probs)
+    for sig, log_p in log_probs.items():
+        p = math.exp(log_p)
+        assert abs(counts[sig] / draws - p) <= 5 * math.sqrt(p * (1 - p) / draws)
+
+
+class TestSampling:
+    def test_every_split_matches_oracle_posterior(self):
+        model = make_model("dasgupta", 4, seed=2)
+        st = build_from_trees(list(enumerate_hierarchies(4)))
+        assert st.count_trees() == 15
+        posterior = oracle_summary(GroundSet(4), model).posterior_table()
+        assert_draw_frequencies(st.evaluate(model), posterior, 20_000, seed=11)
+
+    def test_seed_trees_match_restricted_posterior(self):
+        st = build_from_trees([exact_leaf_jet(6, (2, i)).tree for i in range(3)])
+        model = make_model("dasgupta", 6, seed=2)
+        realized = [h for h in enumerate_hierarchies(6) if st.realizes(h)]
+        assert len(realized) == st.count_trees() == 8
+        log_phi = {h.signature(): log_hierarchy_potential(h, model) for h in realized}
+        log_z = log_sum_exp(log_phi.values())
+        ev = st.evaluate(model)
+        assert ev.log_partition() == pytest.approx(log_z, abs=1e-12)
+        restricted = {sig: v - log_z for sig, v in log_phi.items()}
+        assert_draw_frequencies(ev, restricted, 20_000, seed=12)
+
+    @pytest.mark.parametrize("seed, model_kind, index, draws, best", [
+        (1, "ginkgo", 0, "1e921080022b8d91", "f4c94ec9f430502d"),
+        (1, "ginkgo", 1, "8a47d8ed2fc9463f", "34b1ef4fb2879d3a"),
+        (1, "dasgupta", 9, "b1962299a700a390", "d8208b407cf8fac4"),
+        (2, "ginkgo", 0, "9a14741f60a3c271", "77105e6868ee48d8"),
+        (2, "ginkgo", 1, "e9971377c9adb6d9", "b7c0eba1b61c6053"),
+        (2, "dasgupta", 9, "0d93b307e8652b6d", "aebdb0091e3b45bb"),
+    ])
+    def test_frozen_digest(self, seed, model_kind, index, draws, best):
+        # draws and MAP at fixed seeds hash to digests recorded before the
+        # sparse walks went through core.grow_hierarchy
+        ordering = LeafOrdering("norm_ascending")
+        config = JetConfig(lam=1.5, seed=seed, leaf_count_filter=(8, 8))
+        st = build_simulator_trellis(config, 40, ordering)
+        if model_kind == "ginkgo":
+            jet = exact_leaf_jet(8, (seed, 100 + index))
+            model = GinkgoModel(ordering.order_payloads(jet.payloads), lam=1.5)
+        else:
+            model = DasguptaModel(random_similarity_weights(8, seed))
+        ev = st.evaluate(model)
+        rng = np.random.default_rng((seed, index))
+        assert output_digest(*[ev.sample(rng) for _ in range(200)]) == draws
+        assert output_digest(*ev.map_hierarchy()) == best
+
+
 class TestStructureValidation:
     def test_missing_singleton_rejected(self):
         with pytest.raises(ValueError):
@@ -208,6 +268,25 @@ class TestStructureValidation:
         st = SparseTrellis(GroundSet(4), vertices)
         assert 0b0011 not in st.vertices
         assert st.vertices[0b1111] == [(0b0001, 0b1110)]
+        assert st.count_trees() == 1
+
+    def test_dead_end_cascades_two_levels(self):
+        # 0b00110 has no pairs, so 0b00111 and then 0b01111 lose their only
+        # pair; the root is listed first, before the vertices it depends on
+        vertices = {
+            0b11111: [(0b00001, 0b11110), (0b01111, 0b10000)],
+            0b01111: [(0b00111, 0b01000)],
+            0b00111: [(0b00001, 0b00110)],
+            0b00110: [],
+            0b11110: [(0b00010, 0b11100), (0b00110, 0b11000)],
+            0b11100: [(0b00100, 0b11000)],
+            0b11000: [(0b01000, 0b10000)],
+            0b00001: [], 0b00010: [], 0b00100: [], 0b01000: [], 0b10000: [],
+        }
+        st = SparseTrellis(GroundSet(5), vertices)
+        assert set(st.vertices) == {0b11111, 0b11110, 0b11100, 0b11000} | {1 << i for i in range(5)}
+        assert st.vertices[0b11111] == [(0b00001, 0b11110)]
+        assert st.vertices[0b11110] == [(0b00010, 0b11100)]
         assert st.count_trees() == 1
 
     def test_unreachable_vertex_pruned(self):

@@ -25,7 +25,7 @@ from hctrellis import (
 import hctrellis.trellis as htrellis
 from hctrellis.core import full_mask, log_sum_exp, pivot_splits, popcount
 
-from conftest import MODEL_KINDS, exact_leaf_jet, make_model
+from conftest import MODEL_KINDS, exact_leaf_jet, make_model, output_digest
 
 
 class _ZeroModel(PotentialModel):
@@ -498,6 +498,27 @@ class TestSampling:
             assert counts.get(sig, 0) / 30_000 == pytest.approx(
                 math.exp(log_p), abs=0.02
             )
+
+
+class TestFrozenOutputs:
+    """Seeded draws and MAP results hash to digests recorded on the engine
+    before the top-down walks were shared, so a change to a split rule, the
+    visiting order or the uniforms a draw consumes shows."""
+
+    @pytest.mark.parametrize("kind, n, draws, best", [
+        ("constant", 6, "bf13dbf15fca8941", "5c4c5a299e9f6e21"),
+        ("constant", 9, "ed0a5e58d40e6d6f", "c7c757b110583e3f"),
+        ("dasgupta", 6, "bd4c8e5108fadd2f", "56ba41436590a45a"),
+        ("dasgupta", 9, "542346bc666a9cc6", "0277810f08182789"),
+        ("correlation", 6, "4df6ea452cc32144", "928b83d26a6b83e2"),
+        ("correlation", 9, "d5007bf088218e94", "fba48e0225e2c8d1"),
+        ("ginkgo", 6, "3b3e09ea157d700a", "8bf5957b7c996e28"),
+        ("ginkgo", 9, "d14b6f49878f5bef", "9e6c58fc03ad9425"),
+    ])
+    def test_digest(self, kind, n, draws, best):
+        trellis = DenseTrellis(GroundSet(n), make_model(kind, n, seed=5))
+        assert output_digest(*trellis.sample_many(200, seed=(7, n))) == draws
+        assert output_digest(*trellis.map_hierarchy()) == best
 
 
 class TestContraction:
