@@ -16,7 +16,7 @@ import numpy as np
 LOG_ZERO = float("-inf")
 
 # Above this the per-model subset tables (2**n entries) stop being cheap;
-# larger ground sets fall back to dict-cached aggregates.
+# larger ground sets memoize each queried cluster's aggregate instead.
 TABLE_MAX_LEAVES = 22
 # Past the tables every dense split is a Python-level psi call, and 3**23 of
 # those never finish, so the dense trellis stops where the tables stop.

@@ -142,21 +142,44 @@ def log_splitting_density(t: float, t_parent: float, lam: float) -> float:
 # cached per-cluster aggregates
 
 
-class _SubsetPairSums:
-    """Sum of w[i][j] over unordered leaf pairs inside each cluster.
+class _ClusterTable:
+    """One float per cluster, from a dense 2**n table when n is small enough,
+    else from a flat memo filled by ``_value``.
 
-    Backed by a dense 2**n table when n is small enough, else by a dict
-    cache; any one instance only ever uses a single backend, so repeated
-    lookups are bit-identical.
+    Subclasses build the table by ascending doubling and compute ``_value``
+    by adding the cluster's leaves in ascending order, the same additions in
+    the same order, so the two backends agree bit for bit.  The memo is
+    append-only and holds plain floats.
     """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._table: np.ndarray | None = None
+        self._memo: dict[int, float] = {}
+        if n <= TABLE_MAX_LEAVES:
+            self._table = self._build_table()
+
+    def get(self, bits: int) -> float:
+        if self._table is not None:
+            return float(self._table[bits])
+        val = self._memo.get(bits)
+        if val is None:
+            val = self._memo[bits] = self._value(bits)
+        return val
+
+    def get_many(self, arr: np.ndarray) -> np.ndarray:
+        if self._table is not None:
+            return self._table[arr]
+        return np.array([self.get(int(b)) for b in arr])
+
+
+class _SubsetPairSums(_ClusterTable):
+    """Sum of w[i][j] over unordered leaf pairs inside each cluster."""
 
     def __init__(self, w: np.ndarray):
         self.w = w
-        self.n = w.shape[0]
-        self._table: np.ndarray | None = None
-        self._cache: dict[int, float] = {0: 0.0}
-        if self.n <= TABLE_MAX_LEAVES:
-            self._table = self._build_table()
+        self._rows = w.tolist()
+        super().__init__(w.shape[0])
 
     def _build_table(self) -> np.ndarray:
         n, w = self.n, self.w
@@ -171,47 +194,35 @@ class _SubsetPairSums:
             table[base : base << 1] = table[:base] + row
         return table
 
-    def get(self, bits: int) -> float:
-        if self._table is not None:
-            return float(self._table[bits])
-        cached = self._cache.get(bits)
-        if cached is not None:
-            return cached
-        h = bits.bit_length() - 1
-        rest = bits ^ (1 << h)
-        row = 0.0
-        for j in leaf_indices(rest):
-            row += self.w[j, h]
-        val = self.get(rest) + row
-        self._cache[bits] = val
-        return val
-
-    def get_many(self, arr: np.ndarray) -> np.ndarray:
-        if self._table is not None:
-            return self._table[arr]
-        return np.array([self.get(int(b)) for b in arr])
+    def _value(self, bits: int) -> float:
+        leaves = leaf_indices(bits)
+        total = 0.0
+        for k, h in enumerate(leaves):
+            row = 0.0
+            for j in leaves[:k]:
+                row += self._rows[j][h]
+            total += row
+        return total
 
 
-class _SubsetMass2:
+class _SubsetMass2(_ClusterTable):
     """Squared mass of the summed leaf four-vectors of each cluster.
 
-    Same backends as _SubsetPairSums: a dense 2**n table when n is small
-    enough, else a dict cache of (summed vector, squared mass).  Both sum
-    the leaves in ascending order and subtract the squares in _mass2's
-    order, so the two backends agree bit for bit.  The table is built one
-    component at a time, so construction holds two 2**n arrays, not five.
+    Both backends subtract the squares in _mass2's order.  The table is
+    built one component at a time, so construction holds two 2**n arrays,
+    not five.
     """
 
     def __init__(self, payloads: np.ndarray):
         self.payloads = payloads  # (n, 4) rows (e, px, py, pz)
-        self.n = payloads.shape[0]
-        self._table: np.ndarray | None = None
-        self._cache: dict[int, tuple[np.ndarray, float]] = {0: (np.zeros(4), 0.0)}
-        if self.n <= TABLE_MAX_LEAVES:
-            table = self._squared_sums(0)
-            for c in (1, 2, 3):
-                table -= self._squared_sums(c)
-            self._table = table
+        self._rows = payloads.tolist()
+        super().__init__(payloads.shape[0])
+
+    def _build_table(self) -> np.ndarray:
+        table = self._squared_sums(0)
+        for c in (1, 2, 3):
+            table -= self._squared_sums(c)
+        return table
 
     def _squared_sums(self, c: int) -> np.ndarray:
         # Component c summed over every cluster by ascending doubling, squared.
@@ -221,26 +232,15 @@ class _SubsetMass2:
             np.add(col[:base], self.payloads[h, c], out=col[base : base << 1])
         return np.multiply(col, col, out=col)
 
-    def get(self, bits: int) -> float:
-        if self._table is not None:
-            return float(self._table[bits])
-        return self._entry(bits)[1]
-
-    def get_many(self, arr: np.ndarray) -> np.ndarray:
-        if self._table is not None:
-            return self._table[arr]
-        return np.array([self.get(int(b)) for b in arr])
-
-    def _entry(self, bits: int) -> tuple[np.ndarray, float]:
-        cached = self._cache.get(bits)
-        if cached is not None:
-            return cached
-        h = bits.bit_length() - 1
-        rest = bits ^ (1 << h)
-        vec = self._entry(rest)[0] + self.payloads[h]
-        entry = (vec, float(_mass2(vec[0], vec[1], vec[2], vec[3])))
-        self._cache[bits] = entry
-        return entry
+    def _value(self, bits: int) -> float:
+        e = px = py = pz = 0.0
+        for h in leaf_indices(bits):
+            de, dx, dy, dz = self._rows[h]
+            e += de
+            px += dx
+            py += dy
+            pz += dz
+        return _mass2(e, px, py, pz)
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +419,6 @@ class GinkgoModel(PotentialModel):
             dr = self._log_norm - log_tp - self.lam * (tr / t_parent)
             out = dl + dr
         return np.where(valid, out, LOG_ZERO)
-
-    def cluster_vector(self, bits: int) -> FourVector:
-        e, px, py, pz = self.payloads[leaf_indices(bits)].sum(axis=0)
-        return FourVector(float(e), float(px), float(py), float(pz))
 
 
 def log_hierarchy_potential(h: Hierarchy, model: PotentialModel) -> float:

@@ -246,15 +246,10 @@ class SparseEvaluation:
             self._psi[v] = psi
             z_terms = [p + self.log_z[l] + self.log_z[r] for p, (l, r) in zip(psi, pairs)]
             self.log_z[v] = log_sum_exp(z_terms)
-            best_idx = 0
-            best = None
-            for idx, (p, (l, r)) in enumerate(zip(psi, pairs)):
-                val = p + self._map_val[l] + self._map_val[r]
-                if best is None or val > best:
-                    best = val
-                    best_idx = idx
-            self._map_val[v] = best
-            self._map_pair[v] = pairs[best_idx]
+            m_terms = [p + self._map_val[l] + self._map_val[r] for p, (l, r) in zip(psi, pairs)]
+            best = max(range(len(pairs)), key=m_terms.__getitem__)  # first maximum
+            self._map_val[v] = m_terms[best]
+            self._map_pair[v] = pairs[best]
 
     def log_partition(self) -> float:
         return self.log_z[self.trellis.root]

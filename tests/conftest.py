@@ -4,11 +4,21 @@ from __future__ import annotations
 
 import hashlib
 
-from hctrellis import ConstantModel, CorrelationModel, DasguptaModel, GinkgoModel, Hierarchy
+from hctrellis import (
+    ConstantModel,
+    CorrelationModel,
+    DasguptaModel,
+    FourVector,
+    GinkgoModel,
+    Hierarchy,
+)
 from hctrellis.datasets import random_affinity_weights, random_similarity_weights
 from hctrellis.jetgen import JetConfig, generate_jet
 
 MODEL_KINDS = ("dasgupta", "correlation", "ginkgo")
+
+# The default root cannot reach 16+ leaves; this heavier one reaches 24.
+WIDE_ROOT = FourVector(200.0, 0.0, 0.0, 100.0)
 
 
 def make_model(kind: str, n: int, seed):

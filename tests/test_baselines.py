@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hctrellis import (
+    CorrelationModel,
     DasguptaModel,
     DenseTrellis,
+    GinkgoModel,
     GroundSet,
     Hierarchy,
     beam_search_cluster,
@@ -15,10 +17,12 @@ from hctrellis.baselines import SCORE_TIE_TOL, BeamState
 from hctrellis.core import full_mask
 from hctrellis.datasets import (
     greedy_adversarial_weights,
+    random_affinity_weights,
     random_similarity_weights,
 )
+from hctrellis.jetgen import JetConfig, generate_jet
 
-from conftest import MODEL_KINDS, make_model, output_digest
+from conftest import MODEL_KINDS, WIDE_ROOT, make_model, output_digest
 
 ALL_KINDS = MODEL_KINDS + ("constant",)
 
@@ -232,6 +236,29 @@ class TestGreedyMatchesReference:
         expected, calls[0] = calls[0], 0
         greedy_cluster(model)
         assert calls[0] == expected == sum(k * (k - 1) // 2 for k in range(2, 10))
+
+
+class TestPastTheTables:
+    """Greedy and beam above the table cap, where psi reads the memo backend."""
+
+    @pytest.mark.parametrize("kind, greedy, beam", [
+        ("ginkgo", "dc06f16f46348a25", "22b91f92c3924844"),
+        ("dasgupta", "94f924bbed099794", "8dff2f05ae70c3e6"),
+        ("correlation", "49c9e2f32d642c9a", "91ad82413043b62b"),
+    ])
+    def test_frozen_digest(self, kind, greedy, beam):
+        # (score, tree) digests of greedy and a width-3 beam forest, recorded
+        # while the memo was a recursive dict cache
+        if kind == "ginkgo":
+            config = JetConfig(root=WIDE_ROOT, lam=1.5, seed=(5, 2000), leaf_count_filter=(24, 24))
+            model = GinkgoModel(generate_jet(config).payloads, lam=1.5)
+        elif kind == "dasgupta":
+            model = DasguptaModel(random_similarity_weights(40, 5))
+        else:
+            model = CorrelationModel(random_affinity_weights(40, 5))
+        assert output_digest(*greedy_cluster(model)) == greedy
+        forest = beam_search_forest(model, 3)
+        assert output_digest(*[x for pair in forest for x in pair]) == beam
 
 
 class TestBeam:

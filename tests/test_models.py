@@ -166,9 +166,9 @@ class TestGinkgoModel:
         jet = exact_leaf_jet(7, 55)
         model = GinkgoModel(jet.payloads, lam=jet.config.lam)
         for parent, (left, right) in jet.tree.children.items():
-            tp = model.cluster_vector(parent).mass2
+            tp = model._t.get(parent)
             for child in (left, right):
-                assert model.cluster_vector(child).mass2 < tp
+                assert model._t.get(child) < tp
 
     def test_vectorized_matches_scalar(self):
         jet = exact_leaf_jet(6, 77)
@@ -225,17 +225,20 @@ class TestHierarchyPotential:
 
 class TestPairSumBackends:
     def test_dict_backend_matches_table(self):
+        n = 12
         rng = np.random.default_rng(5)
-        w = rng.uniform(0, 1, size=(6, 6))
+        w = rng.uniform(-1, 1, size=(n, n))
         w = (w + w.T) / 2
         np.fill_diagonal(w, 0.0)
-        payloads = np.array([p.as_tuple() for p in exact_leaf_jet(6, 5).payloads])
+        payloads = np.array([p.as_tuple() for p in exact_leaf_jet(n, 5).payloads])
         for make in (lambda: _SubsetPairSums(w), lambda: _SubsetMass2(payloads)):
             table = make()
-            nodict = make()
-            nodict._table = None  # force the dict recurrence
-            for bits in range(1 << 6):
-                assert nodict.get(bits) == table.get(bits)
+            memo = make()
+            memo._table = None  # force the memo backend
+            for bits in range(1 << n):
+                assert memo.get(bits) == table.get(bits)
+            assert len(memo._memo) == 1 << n
+            assert all(type(v) is float for v in memo._memo.values())
 
     def test_large_ground_set_skips_table(self):
         n = TABLE_MAX_LEAVES + 1

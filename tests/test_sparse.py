@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from hctrellis import (
 )
 from hctrellis.core import full_mask, log_sum_exp
 from hctrellis.datasets import random_similarity_weights
-from hctrellis.jetgen import JetConfig
+from hctrellis.jetgen import JetConfig, generate_jet
 from hctrellis.sparse import (
     LeafOrdering,
     build_beam_search_trellis,
@@ -28,7 +29,7 @@ from hctrellis.sparse import (
     build_simulator_trellis,
 )
 
-from conftest import exact_leaf_jet, make_model, output_digest
+from conftest import WIDE_ROOT, exact_leaf_jet, make_model, output_digest
 
 
 def _jet_set(n, count, seed, lam=1.5):
@@ -133,6 +134,15 @@ class TestInference:
         value, tree = ev.map_hierarchy()
         assert tree == jet.tree and value == truth
         assert ev.sample_hierarchy(3) == jet.tree
+
+    def test_map_ties_pick_the_first_pair(self):
+        # every tree ties under the constant model; the sparse fill keeps the
+        # first maximum, the stored pair with the smallest left child, as the
+        # dense backpointer does
+        st = build_from_trees(list(enumerate_hierarchies(5)))
+        model = ConstantModel(5)
+        dense = DenseTrellis(GroundSet(5), model).map_hierarchy()
+        assert st.evaluate(model).map_hierarchy() == dense
 
     def test_saturated_trellis_matches_dense(self):
         for kind in ("dasgupta", "ginkgo"):
@@ -315,8 +325,8 @@ class TestStructureValidation:
 
 class TestBeyondDenseCap:
     def test_thirty_leaf_trellis(self):
-        # past the dense cap: bit sets stay exact and models fall back to
-        # dict-cached aggregates instead of 2**n tables
+        # past the dense cap: bit sets stay exact and models read their
+        # aggregates from a memo instead of 2**n tables
         import numpy as np
         from hctrellis import DasguptaModel, PairwiseWeights
         from hctrellis.core import popcount
@@ -345,6 +355,19 @@ class TestBeyondDenseCap:
         value, tree = ev.map_hierarchy()
         assert tree == chain
         assert value == pytest.approx(log_hierarchy_potential(chain, model), abs=1e-9)
+
+    def test_frozen_digest(self):
+        # every psi of a 24-leaf model reads the memo backend; log Z, MAP and
+        # draws hash to digests recorded while that backend was a recursive
+        # dict cache
+        ordering = LeafOrdering("norm_ascending")
+        config = JetConfig(root=WIDE_ROOT, lam=1.5, seed=5, leaf_count_filter=(24, 24))
+        st = build_simulator_trellis(config, 40, ordering)
+        jet = generate_jet(replace(config, seed=(5, 1000)))
+        ev = st.evaluate(GinkgoModel(ordering.order_payloads(jet.payloads), lam=1.5))
+        assert output_digest(ev.log_partition(), *ev.map_hierarchy()) == "aa66ca0cae2c9ab7"
+        rng = np.random.default_rng((5, 24))
+        assert output_digest(*[ev.sample(rng) for _ in range(300)]) == "6177c10a8aad8a9d"
 
 
 class TestSerialization:
