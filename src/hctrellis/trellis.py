@@ -9,6 +9,11 @@ plus MAP backpointers; the split-term counter therefore advances exactly
 once per evaluated split.  Tree counts run over the same chunks, in int64
 while (2n-3)!! fits and in exact Python ints above.
 
+Cluster marginals come from one outside pass over the same chunks, levels
+top-down: each split hands its share of the parent's probability to both
+children, summed in the log domain (high-beta marginals underflow a linear
+sum).  The first marginal query runs it; later queries are lookups.
+
 MAP trees and draws come from ``core.grow_hierarchy``, shared with the
 sparse engine: the MAP rule reads the backpointer, and the sampler draws
 one uniform per non-singleton parent, two-leaf parents included.
@@ -25,11 +30,8 @@ from .core import (
     Hierarchy,
     draw_index,
     grow_hierarchy,
-    log_sum_exp_array,
     num_hierarchies,
     pivot_splits_array,
-    popcount,
-    submasks,
 )
 from .models import PotentialModel, log_hierarchy_potential
 
@@ -53,17 +55,19 @@ class DenseTrellis:
         self._log_map: np.ndarray | None = None
         self._map_child: np.ndarray | None = None
         self._counts: np.ndarray | None = None
+        self._log_p: np.ndarray | None = None
         self._sample_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- dynamic program ----------------------------------------------------
 
-    def _level_chunks(self):
-        """Yield (parents, lefts, rights, width) for every split, bottom-up one
-        popcount level at a time in chunks of ~FILL_CHUNK_TERMS split terms;
-        each parent owns ``width`` consecutive splits, lefts ascending."""
+    def _level_chunks(self, sizes=None):
+        """Yield (parents, lefts, rights, width) for every split, one popcount
+        level at a time in chunks of ~FILL_CHUNK_TERMS split terms; each
+        parent owns ``width`` consecutive splits, lefts ascending.  Levels
+        run bottom-up unless ``sizes`` gives their order."""
         n = self.ground.n
         pc = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
-        for k in range(2, n + 1):
+        for k in range(2, n + 1) if sizes is None else sizes:
             width = (1 << (k - 1)) - 1  # splits per parent
             level = np.nonzero(pc == k)[0]
             step = max(1, FILL_CHUNK_TERMS // width)
@@ -141,47 +145,41 @@ class DenseTrellis:
         if bits & ~self.ground.full:
             raise ValueError("cluster extends past the ground set")
 
-    def _merged_log_z(self, bits: int, seed: float) -> float:
-        """log Z over X with cluster C = ``bits`` merged into one leaf.
-
-        The merged leaf carries log weight ``seed``: Z(C) for a cluster
-        marginal, the fragment potential for a sub-hierarchy marginal.  Only
-        supersets of C need new cells: for each E outside C, up[E] sums
-        psi(C|A, E-A) * up[A] * Z(E-A) over the proper subsets A of E, with
-        Z read from the filled table.  With C at contracted bit 0, the pivot
-        splits of (e << 1) | 1 are exactly those subsets.
-        """
-        expand = submasks(self.ground.full ^ bits)  # contracted subset -> leaf bits
-        up = np.empty(expand.size)
-        up[0] = seed
-        for e in range(1, expand.size):
-            subs = pivot_splits_array((e << 1) | 1) >> 1
-            lefts = expand[subs]
-            rights = int(expand[e]) ^ lefts
-            lp = self.model.log_psi_pairs(bits | lefts, rights)
-            up[e] = log_sum_exp_array(lp + up[subs] + self._log_z[rights])
-        return float(up[-1])
+    def _log_marginals(self) -> np.ndarray:
+        """log P(C) for every cluster C, from one top-down outside pass."""
+        if self._log_p is not None:
+            return self._log_p
+        log_z, n, full = self.log_z_table, self.ground.n, self.ground.full
+        if log_z[full] == LOG_ZERO:
+            raise ValueError("degenerate posterior: partition function is zero")
+        log_p = np.full(full + 1, LOG_ZERO)
+        log_p[full] = 0.0
+        with np.errstate(invalid="ignore"):
+            for parents, lefts, rights, width in self._level_chunks(range(n, 1, -1)):
+                above = log_p[parents]  # final: every superset has handed down its share
+                # P(P) is -inf wherever Z(P) is, and -inf - -inf would be NaN
+                up = np.where(above == LOG_ZERO, LOG_ZERO, above - log_z[parents])
+                t = self.model.log_psi_pairs(lefts, rights) + log_z[lefts] + log_z[rights]
+                t += np.repeat(up, width)
+                np.logaddexp.at(log_p, lefts, t)
+                np.logaddexp.at(log_p, rights, t)
+        log_p[1 << np.arange(n)] = 0.0
+        self._log_p = log_p
+        return log_p
 
     def marginal_cluster(self, bits: int) -> float:
         """log P(cluster appears in the hierarchy); 0.0 for root/singletons."""
         self._check_cluster(bits)
-        log_z = self.log_partition()
-        if log_z == LOG_ZERO:
-            raise ValueError("degenerate posterior: partition function is zero")
-        if bits == self.ground.full or popcount(bits) == 1:
-            return 0.0
-        return self._merged_log_z(bits, float(self._log_z[bits])) - log_z
+        return float(self._log_marginals()[bits])
 
     def marginal_subhierarchy(self, fragment: Hierarchy) -> float:
         """log P(the fragment appears intact, rooted at its own cluster)."""
         fragment.validate(n=self.ground.n)
-        log_z = self.log_partition()
-        if log_z == LOG_ZERO:
-            raise ValueError("degenerate posterior: partition function is zero")
-        seed = log_hierarchy_potential(fragment, self.model)
-        if fragment.root == self.ground.full:
-            return seed - log_z
-        return self._merged_log_z(fragment.root, seed) - log_z
+        root = fragment.root
+        log_p = float(self._log_marginals()[root])
+        if log_p == LOG_ZERO:  # then Z(root) may be zero too
+            return LOG_ZERO
+        return log_p - float(self._log_z[root]) + log_hierarchy_potential(fragment, self.model)
 
     # -- posterior sampling ----------------------------------------------------
 

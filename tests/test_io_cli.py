@@ -322,9 +322,11 @@ class TestCli:
         rows = list(csv.reader((tmp_path / "bench.csv").open()))
         assert len(rows) == 9
         per_term = rows[0].index("ns_per_term")
+        marginals = rows[0].index("wall_marginals_s")
         for row in rows[1:]:
             assert int(row[1]) == int(row[2])
             assert float(row[per_term]) > 0
+            assert float(row[marginals]) > 0
 
     @pytest.mark.parametrize("n", [1, 2, 10, 14])
     def test_count_command(self, n, tmp_path, capsys):

@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import binomtest
 
 from hctrellis import (
     DENSE_MAX_LEAVES,
@@ -24,6 +26,7 @@ from hctrellis import (
 )
 import hctrellis.trellis as htrellis
 from hctrellis.core import full_mask, log_sum_exp, pivot_splits, popcount
+from hctrellis.datasets import random_affinity_weights, random_similarity_weights
 
 from conftest import MODEL_KINDS, exact_leaf_jet, make_model, output_digest
 
@@ -56,8 +59,23 @@ class _ForbiddenChildModel(PotentialModel):
         return LOG_ZERO if self.forbidden in (left, right) else 0.0
 
 
+class _DeadClusterModel(PotentialModel):
+    """Uniform over trees, except that one cluster has no split: Z(dead) = 0."""
+
+    kind = "dead-cluster"
+
+    def __init__(self, n, dead):
+        self.n = n
+        self.dead = dead
+
+    def _log_psi(self, left, right):
+        return LOG_ZERO if left | right == self.dead else 0.0
+
+
 def assert_cluster_marginals_match(trellis, summary, n):
     """Every non-root, non-singleton cluster marginal against the oracle."""
+    trellis.marginal_cluster(full_mask(n))
+    assert not np.isnan(trellis._log_p).any()
     for bits in range(1, full_mask(n)):
         if popcount(bits) < 2:
             continue
@@ -67,6 +85,19 @@ def assert_cluster_marginals_match(trellis, summary, n):
             assert value == LOG_ZERO
         else:
             assert value == pytest.approx(expected, abs=1e-9)
+
+
+def oracle_fragment_marginals(summary, fragments):
+    """log P(fragment), per fragment, summing the posterior of every tree
+    that holds it."""
+    held = [h.children.items() for h in summary.hierarchies()]
+    return [
+        log_sum_exp(
+            lp for items, lp in zip(held, summary.tree_log_potentials)
+            if items >= fragment.children.items()
+        ) - summary.log_z
+        for fragment in fragments
+    ]
 
 
 def test_single_leaf_partition_function():
@@ -114,6 +145,18 @@ class TestOracleEquivalence:
             if unique:
                 assert tree == summary.map_hierarchy()
             assert_cluster_marginals_match(trellis, summary, n)
+
+    @pytest.mark.parametrize("beta", [50.0, 400.0])
+    @pytest.mark.parametrize("cls, weights", [
+        (DasguptaModel, random_similarity_weights),
+        (CorrelationModel, random_affinity_weights),
+    ])
+    def test_high_beta_marginals(self, cls, weights, beta):
+        # at beta = 400 log marginals fall far below exp's underflow (~-745),
+        # so only a log-domain pass keeps them
+        model = cls(weights(7, 4), beta=beta)
+        trellis = DenseTrellis(GroundSet(7), model)
+        assert_cluster_marginals_match(trellis, oracle_summary(GroundSet(7), model), 7)
 
     def test_posterior_normalizes(self):
         for kind in MODEL_KINDS:
@@ -277,6 +320,25 @@ class TestAnyNIdentities:
     def test_ten_leaves(self, kind):
         self.check(make_model(kind, 10, seed=0))
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_fourteen_leaves(self, kind):
+        self.check(make_model(kind, 14, seed=0))
+
+    def test_high_beta_ten_leaves(self):
+        self.check(DasguptaModel(random_similarity_weights(10, 0), beta=50.0))
+
+    def test_draw_frequencies_match_marginals(self):
+        n, draws = 14, 2000
+        trellis = DenseTrellis(GroundSet(n), make_model("ginkgo", n, seed=0))
+        hits = Counter(node for h in trellis.sample_many(draws, seed=12) for node in h.children)
+        checked = 0
+        for bits in range(1, full_mask(n)):
+            p = math.exp(trellis.marginal_cluster(bits))
+            if popcount(bits) > 1 and p >= 0.01:
+                assert binomtest(hits[bits], draws, p).pvalue >= 1e-6, hex(bits)
+                checked += 1
+        assert checked >= n - 2
+
 
 class TestOperationCount:
     def test_requires_fill(self):
@@ -397,6 +459,37 @@ class TestMarginals:
         fragment = Hierarchy(0b00110, {0b00110: (0b00010, 0b00100)})
         assert trellis.marginal_subhierarchy(fragment) == LOG_ZERO
 
+    def test_cluster_without_splits(self):
+        # Z(dead) = 0 while Z(X) > 0: the outside pass must hand such a
+        # parent -inf, not -inf - -inf = NaN
+        dead = 0b000111
+        model = _DeadClusterModel(6, dead)
+        trellis = DenseTrellis(GroundSet(6), model)
+        assert trellis.log_z_table[dead] == LOG_ZERO
+        assert trellis.log_partition() > LOG_ZERO
+        assert_cluster_marginals_match(trellis, oracle_summary(GroundSet(6), model), 6)
+        assert trellis.marginal_cluster(dead) == LOG_ZERO
+        fragment = Hierarchy(dead, {dead: (0b001, 0b110), 0b110: (0b010, 0b100)})
+        assert trellis.marginal_subhierarchy(fragment) == LOG_ZERO
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_every_subtree_of_map_and_draws(self, kind, n):
+        model = make_model(kind, n, seed=9)
+        trellis = DenseTrellis(GroundSet(n), model)
+        summary = oracle_summary(GroundSet(n), model)
+        trees = [trellis.map_hierarchy()[1], *trellis.sample_many(20, seed=(3, n))]
+        fragments = list({
+            Hierarchy(node, {p: pair for p, pair in tree.children.items() if p | node == node})
+            for tree in trees
+            for node in tree.children
+            if node != tree.root
+        })
+        for fragment, expected in zip(fragments, oracle_fragment_marginals(summary, fragments)):
+            assert trellis.marginal_subhierarchy(fragment) == pytest.approx(expected, abs=1e-9)
+        for i in range(n):
+            assert trellis.marginal_subhierarchy(Hierarchy(1 << i, {})) == 0.0
+
     def test_rejects_bad_cluster(self):
         trellis = DenseTrellis(GroundSet(3), ConstantModel(3))
         with pytest.raises(ValueError):
@@ -453,18 +546,8 @@ class TestMarginals:
             summary = oracle_summary(GroundSet(5), model)
             bits = 0b10011
             fragment = Hierarchy(bits, {bits: (0b00011, 0b10000), 0b00011: (1, 2)})
-            containing = [
-                math.exp(lp)
-                for h, lp in (
-                    (hh, summary.log_posterior(hh)) for hh in summary.hierarchies()
-                )
-                if all(
-                    h.children.get(p) == pair for p, pair in fragment.children.items()
-                )
-            ]
-            assert trellis.marginal_subhierarchy(fragment) == pytest.approx(
-                math.log(sum(containing)), abs=1e-9
-            )
+            [expected] = oracle_fragment_marginals(summary, [fragment])
+            assert trellis.marginal_subhierarchy(fragment) == pytest.approx(expected, abs=1e-9)
 
 
 class TestSampling:
@@ -519,18 +602,3 @@ class TestFrozenOutputs:
         trellis = DenseTrellis(GroundSet(n), make_model(kind, n, seed=5))
         assert output_digest(*trellis.sample_many(200, seed=(7, n))) == draws
         assert output_digest(*trellis.map_hierarchy()) == best
-
-
-class TestContraction:
-    def test_marginal_reuses_model_payload_semantics(self):
-        # The merged cluster must be scored on its underlying leaf set: for
-        # mass-based scoring this is detectable because a merged leaf of two
-        # real leaves carries their summed vector.
-        jet = exact_leaf_jet(5, 3)
-        model = GinkgoModel(jet.payloads, lam=jet.config.lam)
-        trellis = DenseTrellis(GroundSet(5), model)
-        summary = oracle_summary(GroundSet(5), model)
-        for bits in [0b00011, 0b10100, 0b01110]:
-            assert trellis.marginal_cluster(bits) == pytest.approx(
-                summary.marginal(bits), abs=1e-9
-            )
