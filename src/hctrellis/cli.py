@@ -21,12 +21,11 @@ from pathlib import Path
 
 from . import io as hio
 from .baselines import beam_search_cluster, greedy_cluster
-from .core import GroundSet, mask_of, num_hierarchies, split_term_count
+from .core import DENSE_MAX_LEAVES, GroundSet, mask_of, num_hierarchies, split_term_count
 from .datasets import random_similarity_weights
 from .jetgen import DEFAULT_LAM, DEFAULT_TCUT, JetConfig, generate_jet
 from .models import (
     ConstantModel,
-    DasguptaModel,
     FourVector,
     GinkgoModel,
     ModelParams,
@@ -49,15 +48,20 @@ def _model_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAM)
 
 
+def _jet_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--root", default="100,0,0,80")
+    parser.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAM)
+    parser.add_argument("--tcut", type=float, default=DEFAULT_TCUT)
+
+
+def _beam_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--beam-width", type=int)
+    parser.add_argument("--lookahead", type=int, default=1)
+
+
 def _common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=".", help="output directory")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _record(args, out: Path, **fields) -> dict:
@@ -66,11 +70,20 @@ def _record(args, out: Path, **fields) -> dict:
     return record
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _build_model(args, ds: hio.Dataset):
+    return hio.build_model(ds, args.model, ModelParams(beta=args.beta, lam=args.lam))
+
+
 def _load_instance(args):
     ds = hio.load_dataset(args.data)
-    params = ModelParams(beta=args.beta, lam=args.lam)
-    model = hio.build_model(ds, args.model, params)
-    return ds, model, hio.file_sha256(args.data)
+    return ds, _build_model(args, ds), hio.file_sha256(args.data)
 
 
 def _model_fields(args) -> dict:
@@ -81,8 +94,7 @@ def _model_fields(args) -> dict:
 # inference commands
 
 
-def cmd_z(args) -> int:
-    out = _out_dir(args)
+def cmd_z(args, out: Path) -> int:
     ds, model, digest = _load_instance(args)
     start = time.perf_counter()
     trellis = DenseTrellis(ds.ground(), model)
@@ -98,8 +110,7 @@ def cmd_z(args) -> int:
     return 0
 
 
-def cmd_map(args) -> int:
-    out = _out_dir(args)
+def cmd_map(args, out: Path) -> int:
     ds, model, digest = _load_instance(args)
     start = time.perf_counter()
     trellis = DenseTrellis(ds.ground(), model)
@@ -121,8 +132,7 @@ def cmd_map(args) -> int:
     return 0
 
 
-def cmd_marginal(args) -> int:
-    out = _out_dir(args)
+def cmd_marginal(args, out: Path) -> int:
     ds, model, digest = _load_instance(args)
     trellis = DenseTrellis(ds.ground(), model)
     if (args.cluster is None) == (args.fragment is None):
@@ -143,8 +153,9 @@ def cmd_marginal(args) -> int:
     return 0
 
 
-def cmd_sample(args) -> int:
-    out = _out_dir(args)
+def cmd_sample(args, out: Path) -> int:
+    if args.count < 1:
+        raise ValueError("--count must be positive")
     ds, model, digest = _load_instance(args)
     trellis = DenseTrellis(ds.ground(), model)
     start = time.perf_counter()
@@ -162,13 +173,11 @@ def cmd_sample(args) -> int:
         for rank, (sig, _) in enumerate(ranked):
             hio.save_tree(by_sig[sig], sample_dir / f"distinct_{rank:04d}.json", model)
     csv_path = out / "sample_frequencies.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "count", "frequency", "log_phi"])
-        for rank, (sig, cnt) in enumerate(ranked):
-            writer.writerow(
-                [rank, cnt, cnt / args.count, log_hierarchy_potential(by_sig[sig], model)]
-            )
+    rows = [
+        [rank, cnt, cnt / args.count, log_hierarchy_potential(by_sig[sig], model)]
+        for rank, (sig, cnt) in enumerate(ranked)
+    ]
+    _write_csv(csv_path, ["rank", "count", "frequency", "log_phi"], rows)
     _record(
         args, out, dataset_sha256=digest, **_model_fields(args),
         log_z=trellis.log_partition(), draws=args.count,
@@ -182,27 +191,25 @@ def cmd_sample(args) -> int:
 # generation and corpus commands
 
 
-def _parse_root(text: str) -> FourVector:
-    parts = [float(tok) for tok in text.split(",")]
-    if len(parts) != 4:
+def _jet_config(args, leaf_filter) -> JetConfig:
+    root = [float(tok) for tok in args.root.split(",")]
+    if len(root) != 4:
         raise ValueError("--root needs E,px,py,pz")
-    return FourVector(*parts)
+    return JetConfig(
+        root=FourVector(*root), lam=args.lam, t_cut=args.tcut, seed=args.seed,
+        leaf_count_filter=leaf_filter,
+    )
 
 
-def cmd_generate(args) -> int:
-    out = _out_dir(args)
+def cmd_generate(args, out: Path) -> int:
+    if args.count < 1:
+        raise ValueError("--count must be positive")
     leaf_filter = None
     if args.min_leaves is not None or args.max_leaves is not None:
         if args.min_leaves is None or args.max_leaves is None:
             raise ValueError("pass both --min-leaves and --max-leaves or neither")
         leaf_filter = (args.min_leaves, args.max_leaves)
-    config = JetConfig(
-        root=_parse_root(args.root),
-        lam=args.lam,
-        t_cut=args.tcut,
-        seed=args.seed,
-        leaf_count_filter=leaf_filter,
-    )
+    config = _jet_config(args, leaf_filter)
     start = time.perf_counter()
     files = []
     for i in range(args.count):
@@ -231,32 +238,30 @@ def _load_corpus(path: str):
     return [hio.load_jet(Path(path) / entry["file"]) for entry in manifest["jets"]]
 
 
-def cmd_baselines(args) -> int:
-    out = _out_dir(args)
+def cmd_baselines(args, out: Path) -> int:
     if (args.corpus is None) == (args.data is None):
         raise ValueError("pass exactly one of --corpus or --data")
-    instances = []
     if args.corpus is not None:
-        for jet in _load_corpus(args.corpus):
-            instances.append((GinkgoModel(jet.payloads, lam=args.lam), jet.num_leaves()))
+        models = [
+            _build_model(args, hio.fourvector_dataset(jet.payloads))
+            for jet in _load_corpus(args.corpus)
+        ]
         digest = hio.file_sha256(Path(args.corpus) / "manifest.json")
     else:
-        ds, model, digest = _load_instance(args)
-        instances.append((model, ds.n))
+        _, model, digest = _load_instance(args)
+        models = [model]
     rows = []
     start = time.perf_counter()
-    for idx, (model, n) in enumerate(instances):
+    for idx, model in enumerate(models):
         g_score, _ = greedy_cluster(model)
         b_score, _ = beam_search_cluster(model, args.beam_width, args.lookahead)
-        trellis = DenseTrellis(GroundSet(n), model)
-        m_score, _ = trellis.map_hierarchy()
-        rows.append([idx, n, g_score, b_score, m_score])
+        m_score, _ = DenseTrellis(GroundSet(model.n), model).map_hierarchy()
+        rows.append([idx, model.n, g_score, b_score, m_score])
     wall = time.perf_counter() - start
     csv_path = out / "baselines.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance", "n", "log_phi_greedy", "log_phi_beam", "log_phi_trellis"])
-        writer.writerows(rows)
+    _write_csv(
+        csv_path, ["instance", "n", "log_phi_greedy", "log_phi_beam", "log_phi_trellis"], rows
+    )
     gaps = {
         "trellis_minus_beam": [r[4] - r[3] for r in rows],
         "trellis_minus_greedy": [r[4] - r[2] for r in rows],
@@ -279,16 +284,12 @@ def cmd_baselines(args) -> int:
     return 0
 
 
-def cmd_sparse(args) -> int:
-    out = _out_dir(args)
+def cmd_sparse(args, out: Path) -> int:
     ordering = LeafOrdering(args.ordering, args.ordering_seed)
     if args.load_trellis:
         trellis = SparseTrellis.load(args.load_trellis)
     else:
-        base = JetConfig(
-            root=_parse_root(args.root), lam=args.lam, t_cut=args.tcut,
-            seed=args.seed, leaf_count_filter=(args.n_leaves, args.n_leaves),
-        )
+        base = _jet_config(args, (args.n_leaves, args.n_leaves))
         if args.builder == "sim":
             trellis = build_simulator_trellis(base, args.num_seeds, ordering)
         elif args.builder == "bs":
@@ -331,10 +332,9 @@ def cmd_sparse(args) -> int:
         full_map, _ = DenseTrellis(GroundSet(model.n), model).map_hierarchy()
         rows.append([idx, sparse_map, greedy_score, full_map])
     csv_path = out / "sparse_eval.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance", "log_phi_sparse_map", "log_phi_greedy", "log_phi_full_map"])
-        writer.writerows(rows)
+    _write_csv(
+        csv_path, ["instance", "log_phi_sparse_map", "log_phi_greedy", "log_phi_full_map"], rows
+    )
     mean_rel = statistics.fmean(r[1] - r[2] for r in rows)
     mean_full_rel = statistics.fmean(r[3] - r[2] for r in rows)
     _record(
@@ -348,24 +348,20 @@ def cmd_sparse(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    out = _out_dir(args)
-    if args.n_min < 2 or args.n_max < args.n_min:
-        raise ValueError("need 2 <= n-min <= n-max")
+def cmd_bench(args, out: Path) -> int:
+    if not 2 <= args.n_min <= args.n_max <= DENSE_MAX_LEAVES:
+        raise ValueError(f"need 2 <= n-min <= n-max <= {DENSE_MAX_LEAVES}")
     rows = []
     prev_ops = None
     for n in range(args.n_min, args.n_max + 1):
-        if args.model == "constant":
-            model = ConstantModel(n)
-        elif args.model == "dasgupta":
-            model = DasguptaModel(random_similarity_weights(n, args.seed), beta=args.beta)
-        elif args.model == "ginkgo":
+        if args.model == "ginkgo":
             jet = generate_jet(
                 JetConfig(seed=(args.seed, n), leaf_count_filter=(n, n), lam=args.lam)
             )
-            model = GinkgoModel(jet.payloads, lam=args.lam)
+            ds = hio.fourvector_dataset(jet.payloads)
         else:
-            raise ValueError("bench supports constant, dasgupta or ginkgo")
+            ds = hio.pairwise_dataset(random_similarity_weights(n, args.seed))
+        model = _build_model(args, ds)
         trellis = DenseTrellis(GroundSet(n), model)
         walls = []  # fill, MAP, then the outside pass, which the first marginal query runs
         for phase in (trellis.log_partition, trellis.map_hierarchy,
@@ -381,11 +377,8 @@ def cmd_bench(args) -> int:
         prev_ops = ops
         rows.append([n, ops, expected, ratio, *walls, walls[0] / ops * 1e9])
     csv_path = out / "bench.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "ops", "ops_closed_form", "ops_ratio", "wall_fill_s", "wall_map_s",
-                         "wall_marginals_s", "ns_per_term"])
-        writer.writerows(rows)
+    _write_csv(csv_path, ["n", "ops", "ops_closed_form", "ops_ratio", "wall_fill_s",
+                          "wall_map_s", "wall_marginals_s", "ns_per_term"], rows)
     _record(args, out, model=args.model, n_min=args.n_min, n_max=args.n_max)
     print(f"bench table -> {csv_path}")
     if args.n_max >= 8:
@@ -396,8 +389,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_count(args) -> int:
-    out = _out_dir(args)
+def cmd_count(args, out: Path) -> int:
     if (args.n is None) == (args.data is None):
         raise ValueError("pass exactly one of --n or --data")
     if args.n is not None:
@@ -454,17 +446,14 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
 
     p = add("generate", cmd_generate, "write a corpus of toy jets")
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--root", default="100,0,0,80")
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAM)
-    p.add_argument("--tcut", type=float, default=DEFAULT_TCUT)
+    _jet_arguments(p)
     p.add_argument("--min-leaves", type=int)
     p.add_argument("--max-leaves", type=int)
 
     p = add("baselines", cmd_baselines, "greedy vs beam vs exact MAP")
     p.add_argument("--corpus", help="directory written by generate")
     p.add_argument("--data", help="single dataset file")
-    p.add_argument("--beam-width", type=int)
-    p.add_argument("--lookahead", type=int, default=1)
+    _beam_arguments(p)
     _model_arguments(p)
 
     p = add("sparse", cmd_sparse, "build / evaluate a sparse trellis")
@@ -473,11 +462,8 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p.add_argument("--num-seeds", type=int, default=10)
     p.add_argument("--ordering", default="norm_ascending")
     p.add_argument("--ordering-seed", type=int)
-    p.add_argument("--root", default="100,0,0,80")
-    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAM)
-    p.add_argument("--tcut", type=float, default=DEFAULT_TCUT)
-    p.add_argument("--beam-width", type=int)
-    p.add_argument("--lookahead", type=int, default=1)
+    _jet_arguments(p)
+    _beam_arguments(p)
     p.add_argument("--save-trellis")
     p.add_argument("--load-trellis")
     p.add_argument("--test-corpus")
@@ -513,7 +499,9 @@ def main(argv=None) -> int:
     parser = build_parser(config_defaults)
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return args.func(args, out)
     except (ValueError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

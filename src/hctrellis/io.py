@@ -46,6 +46,17 @@ class Dataset:
         return GroundSet(self.n)
 
 
+def _leaves_to_dicts(leaves) -> list[dict]:
+    return [{"E": v.e, "px": v.px, "py": v.py, "pz": v.pz} for v in leaves]
+
+
+def _leaves_from_dicts(items) -> list[FourVector]:
+    return [
+        FourVector(float(v["E"]), float(v["px"]), float(v["py"]), float(v["pz"]))
+        for v in items
+    ]
+
+
 def dataset_to_dict(ds: Dataset) -> dict:
     out: dict = {"schema": ds.schema, "n": ds.n}
     if ds.labels:
@@ -59,9 +70,7 @@ def dataset_to_dict(ds: Dataset) -> dict:
             if w[i, j] != 0.0
         ]
     elif ds.schema == SCHEMA_FOURVECTORS:
-        out["leaves"] = [
-            {"E": v.e, "px": v.px, "py": v.py, "pz": v.pz} for v in ds.leaves
-        ]
+        out["leaves"] = _leaves_to_dicts(ds.leaves)
     else:
         raise ValueError(f"unknown dataset schema {ds.schema!r}")
     return out
@@ -75,10 +84,7 @@ def dataset_from_dict(data: dict) -> Dataset:
         triples = [(int(i), int(j), float(w)) for i, j, w in data.get("weights", [])]
         return Dataset(schema, n, weights=PairwiseWeights.from_triples(n, triples), labels=labels)
     if schema == SCHEMA_FOURVECTORS:
-        leaves = [
-            FourVector(float(v["E"]), float(v["px"]), float(v["py"]), float(v["pz"]))
-            for v in data["leaves"]
-        ]
+        leaves = _leaves_from_dicts(data["leaves"])
         return Dataset(schema, len(leaves), leaves=leaves, labels=labels)
     raise ValueError(f"unknown dataset schema {schema!r}")
 
@@ -186,9 +192,7 @@ def load_tree(path) -> Hierarchy:
 def jet_to_dict(jet: GeneratedJet) -> dict:
     cfg = jet.config
     return {
-        "leaves": [
-            {"E": v.e, "px": v.px, "py": v.py, "pz": v.pz} for v in jet.payloads
-        ],
+        "leaves": _leaves_to_dicts(jet.payloads),
         "tree": hierarchy_to_tree_dict(jet.tree),
         "lam": cfg.lam,
         "t_cut": cfg.t_cut,
@@ -198,10 +202,7 @@ def jet_to_dict(jet: GeneratedJet) -> dict:
 
 
 def jet_from_dict(data: dict) -> GeneratedJet:
-    leaves = [
-        FourVector(float(v["E"]), float(v["px"]), float(v["py"]), float(v["pz"]))
-        for v in data["leaves"]
-    ]
+    leaves = _leaves_from_dicts(data["leaves"])
     seed = data["seed"]
     config = JetConfig(
         root=sum(leaves[1:], leaves[0]),

@@ -47,6 +47,8 @@ class PairwiseWeights:
         w = np.asarray(w, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weight matrix must be square")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if not np.array_equal(w, w.T):
             raise ValueError("weight matrix must be symmetric")
         if np.any(np.diagonal(w) != 0.0):
@@ -381,6 +383,8 @@ class GinkgoModel(PotentialModel):
         arr = np.asarray(rows, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != 4:
             raise ValueError("payloads must be four-vectors")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("four-vectors must be finite")
         if np.any(arr[:, 0] <= 0):
             raise ValueError("leaf energies must be positive")
         self.lam = lam

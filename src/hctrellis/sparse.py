@@ -231,7 +231,7 @@ class SparseEvaluation:
         self.log_z: dict[int, float] = {}
         self._map_val: dict[int, float] = {}
         self._map_pair: dict[int, tuple[int, int]] = {}
-        self._psi: dict[int, list[float]] = {}
+        self._z_terms: dict[int, list[float]] = {}
         self._sample_cache: dict[int, np.ndarray] = {}
         self._fill()
 
@@ -243,8 +243,8 @@ class SparseEvaluation:
                 self._map_val[v] = 0.0
                 continue
             psi = [self.model.log_psi(l, r) for l, r in pairs]
-            self._psi[v] = psi
             z_terms = [p + self.log_z[l] + self.log_z[r] for p, (l, r) in zip(psi, pairs)]
+            self._z_terms[v] = z_terms
             self.log_z[v] = log_sum_exp(z_terms)
             m_terms = [p + self._map_val[l] + self._map_val[r] for p, (l, r) in zip(psi, pairs)]
             best = max(range(len(pairs)), key=m_terms.__getitem__)  # first maximum
@@ -262,13 +262,7 @@ class SparseEvaluation:
     def _split_distribution(self, v: int) -> np.ndarray:
         cum = self._sample_cache.get(v)
         if cum is None:
-            pairs = self.trellis.vertices[v]
-            terms = np.array(
-                [
-                    p + self.log_z[l] + self.log_z[r]
-                    for p, (l, r) in zip(self._psi[v], pairs)
-                ]
-            )
+            terms = np.array(self._z_terms[v])
             cum = np.cumsum(np.exp(terms - terms.max()))
             self._sample_cache[v] = cum
         return cum

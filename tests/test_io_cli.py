@@ -353,3 +353,185 @@ class TestCli:
             assert main(["z", "--data", str(data), "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "records.jsonl").read_text().strip().splitlines()
         assert len(lines) == 3
+
+
+def _generate_corpus(path, count=3, seed=2, leaves=(4, 6)):
+    args = ["generate", "--count", str(count), "--seed", str(seed), "--min-leaves",
+            str(leaves[0]), "--max-leaves", str(leaves[1]), "--out", str(path)]
+    assert main(args) == 0
+
+
+class TestCliRefusals:
+    @pytest.mark.parametrize("schema, payload, model", [
+        ("pairwise", {"n": 3, "weights": [[0, 1, "Infinity"], [1, 2, 0.5]]}, "dasgupta"),
+        ("pairwise", {"n": 3, "weights": [[0, 1, "NaN"]]}, "correlation"),
+        ("fourvectors", {"leaves": [{"E": "NaN", "px": 0, "py": 0, "pz": 1},
+                                    {"E": 5.0, "px": 0, "py": 1, "pz": 0}]}, "ginkgo"),
+    ])
+    def test_nonfinite_inputs_exit_2(self, tmp_path, capsys, schema, payload, model):
+        # Python's json reads the bare tokens Infinity and NaN as floats
+        text = json.dumps({"schema": schema, **payload})
+        text = text.replace('"Infinity"', "Infinity").replace('"NaN"', "NaN")
+        data = tmp_path / "d.json"
+        data.write_text(text)
+        args = ["map", "--data", str(data), "--model", model, "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "map_tree.json").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_sample_refuses_nonpositive_count(self, tmp_path, capsys, count):
+        data = tmp_path / "d.json"
+        _write_two_leaf_dataset(data)
+        args = ["sample", "--data", str(data), "--count", count, "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert "--count must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "records.jsonl").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_generate_refuses_nonpositive_count(self, tmp_path, capsys, count):
+        assert main(["generate", "--count", count, "--out", str(tmp_path)]) == 2
+        assert "--count must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_bench_refuses_past_dense_cap_before_any_fill(self, tmp_path, capsys, monkeypatch):
+        import hctrellis.cli
+
+        def no_fill(*args, **kwargs):
+            raise AssertionError("bench started a fill before refusing")
+
+        monkeypatch.setattr(hctrellis.cli, "DenseTrellis", no_fill)
+        args = ["bench", "--n-max", "23", "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert "n-max <= 22" in capsys.readouterr().err
+        assert not (tmp_path / "bench.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--beta", "--lambda"])
+    def test_bench_validates_model_params(self, tmp_path, capsys, flag):
+        args = ["bench", "--n-max", "4", "--model", "dasgupta", flag, "-1", "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert "must both be positive" in capsys.readouterr().err
+
+
+class TestCliModelBinding:
+    def test_baselines_corpus_defaults_to_constant(self, tmp_path):
+        _generate_corpus(tmp_path / "corpus")
+        assert main(["baselines", "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path)]) == 0
+        record = json.loads((tmp_path / "records.jsonl").read_text())
+        assert record["model"] == "constant"
+        for stats in record["summary"].values():
+            assert stats == {"mean": 0.0, "std": 0.0}
+
+    def test_baselines_corpus_scores_with_ginkgo(self, tmp_path):
+        from hctrellis import GinkgoModel
+        from hctrellis.baselines import beam_search_cluster, greedy_cluster
+
+        _generate_corpus(tmp_path / "corpus")
+        args = ["baselines", "--corpus", str(tmp_path / "corpus"), "--model", "ginkgo",
+                "--lambda", "1.2", "--out", str(tmp_path)]
+        assert main(args) == 0
+        expected = []
+        for k in range(3):
+            jet = load_jet(tmp_path / "corpus" / f"jet_{k:05d}.json")
+            model = GinkgoModel(jet.payloads, lam=1.2)
+            expected.append([
+                str(k), str(model.n), repr(greedy_cluster(model)[0]),
+                repr(beam_search_cluster(model, None, 1)[0]),
+                repr(DenseTrellis(GroundSet(model.n), model).map_hierarchy()[0]),
+            ])
+        rows = list(csv.reader((tmp_path / "baselines.csv").open()))
+        assert rows[1:] == expected
+        record = json.loads((tmp_path / "records.jsonl").read_text())
+        assert (record["model"], record["lam"]) == ("ginkgo", 1.2)
+
+    @pytest.mark.parametrize("model", ["dasgupta", "correlation"])
+    def test_baselines_corpus_refuses_pairwise_models(self, tmp_path, capsys, model):
+        _generate_corpus(tmp_path / "corpus")
+        args = ["baselines", "--corpus", str(tmp_path / "corpus"), "--model", model,
+                "--beta", "3", "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert f"{model} scoring needs a pairwise dataset" in capsys.readouterr().err
+        assert not (tmp_path / "records.jsonl").exists()
+
+    def test_bench_runs_correlation(self, tmp_path):
+        args = ["bench", "--n-max", "6", "--model", "correlation", "--out", str(tmp_path)]
+        assert main(args) == 0
+        rows = list(csv.reader((tmp_path / "bench.csv").open()))
+        assert len(rows) == 6
+        for row in rows[1:]:
+            assert int(row[1]) == int(row[2])
+
+
+# Every command at fixed seeds.  The digest covers each file written and
+# each stdout line, with wall-clock fields and temp paths masked, so a
+# refactor of the command layer that changes any output byte fails here.
+FROZEN_RUNS = [
+    ["generate", "--count", "3", "--seed", "4", "--min-leaves", "4", "--max-leaves", "6",
+     "--out", "{tmp}/corpus"],
+    ["generate", "--count", "2", "--seed", "31", "--min-leaves", "5", "--max-leaves", "5",
+     "--out", "{tmp}/test_corpus"],
+    ["z", "--data", "{tmp}/pw.json", "--model", "dasgupta", "--beta", "2", "--out", "{tmp}/z"],
+    ["map", "--data", "{tmp}/fv.json", "--model", "ginkgo", "--out", "{tmp}/map"],
+    ["map", "--data", "{tmp}/pw.json", "--model", "dasgupta", "--out", "{tmp}/map_dasgupta"],
+    ["marginal", "--data", "{tmp}/pw.json", "--model", "correlation", "--cluster", "0,2",
+     "--out", "{tmp}/marginal"],
+    ["marginal", "--data", "{tmp}/fv.json", "--model", "ginkgo", "--fragment",
+     "{tmp}/frag.json", "--out", "{tmp}/fragment"],
+    ["sample", "--data", "{tmp}/fv.json", "--model", "ginkgo", "--count", "40", "--seed", "3",
+     "--out", "{tmp}/sample"],
+    ["baselines", "--data", "{tmp}/pw.json", "--model", "dasgupta", "--out", "{tmp}/bl_data"],
+    ["baselines", "--corpus", "{tmp}/corpus", "--model", "ginkgo", "--lambda", "1.2",
+     "--beam-width", "3", "--out", "{tmp}/bl_corpus"],
+    ["sparse", "--builder", "sim", "--n-leaves", "5", "--num-seeds", "4", "--seed", "7",
+     "--save-trellis", "{tmp}/trellis.json", "--test-corpus", "{tmp}/test_corpus",
+     "--out", "{tmp}/sparse_sim"],
+    ["sparse", "--builder", "bs", "--n-leaves", "5", "--num-seeds", "2", "--seed", "7",
+     "--ordering", "standard", "--out", "{tmp}/sparse_bs"],
+    ["sparse", "--load-trellis", "{tmp}/trellis.json", "--test-corpus", "{tmp}/test_corpus",
+     "--out", "{tmp}/sparse_load"],
+    ["bench", "--n-min", "2", "--n-max", "6", "--model", "ginkgo", "--seed", "2",
+     "--out", "{tmp}/bench_ginkgo"],
+    ["bench", "--n-min", "3", "--n-max", "6", "--model", "dasgupta", "--beta", "0.5",
+     "--out", "{tmp}/bench_dasgupta"],
+    ["count", "--n", "6", "--out", "{tmp}/count"],
+]
+
+
+def _is_wall(name: str) -> bool:
+    return name.startswith("wall") or name == "ns_per_term"
+
+
+def _masked_bytes(path) -> bytes:
+    if path.suffix == ".jsonl":
+        lines = []
+        for line in path.read_text().splitlines():
+            record = json.loads(line)
+            lines.append(json.dumps({k: v for k, v in record.items() if not _is_wall(k)},
+                                    sort_keys=True))
+        return "\n".join(lines).encode()
+    if path.suffix == ".csv":
+        rows = list(csv.reader(path.open()))
+        keep = [k for k, name in enumerate(rows[0]) if not _is_wall(name)]
+        return repr([[row[k] for k in keep] for row in rows]).encode()
+    return path.read_bytes()
+
+
+class TestCliOutputDigest:
+    def test_frozen_digest(self, tmp_path, capsys):
+        import hashlib
+        import re
+
+        from hctrellis import Hierarchy
+
+        save_dataset(pairwise_dataset(random_similarity_weights(5, 1)), tmp_path / "pw.json")
+        save_dataset(fourvector_dataset(exact_leaf_jet(5, 3).payloads), tmp_path / "fv.json")
+        save_tree(Hierarchy(0b0101, {0b0101: (0b0001, 0b0100)}), tmp_path / "frag.json")
+        digest = hashlib.sha256()
+        for run in FROZEN_RUNS:
+            assert main([arg.replace("{tmp}", str(tmp_path)) for arg in run]) == 0, run
+            stdout = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
+            digest.update(re.sub(r"wall=\S+", "wall=<masked>", stdout).encode())
+        for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+            digest.update(str(path.relative_to(tmp_path)).encode())
+            digest.update(_masked_bytes(path))
+        assert digest.hexdigest()[:16] == "bffb44e222bd46a8"

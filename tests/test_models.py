@@ -51,6 +51,12 @@ class TestPairwiseWeights:
         with pytest.raises(ValueError):
             PairwiseWeights.from_triples(3, [(1, 0, 0.5)])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_weights(self, bad):
+        # NaN used to reach only the symmetry check; inf filled to log_z = nan
+        with pytest.raises(ValueError, match="weights must be finite"):
+            PairwiseWeights.from_triples(3, [(0, 1, bad)])
+
 
 class TestDasgupta:
     def test_unit_pair(self):
@@ -161,6 +167,17 @@ class TestGinkgoModel:
     def test_rejects_nonpositive_energy(self):
         with pytest.raises(ValueError):
             GinkgoModel([FourVector(0.0, 0.0, 0.0, 0.0)], lam=1.5)
+
+    @pytest.mark.parametrize("leaf", [
+        FourVector(math.nan, 0.0, 0.0, 0.0),
+        FourVector(5.0, math.inf, 0.0, 0.0),
+        FourVector(5.0, 0.0, 0.0, -math.inf),
+    ])
+    def test_rejects_nonfinite_four_vectors(self, leaf):
+        # a NaN energy passes the positivity check and scalar and vector psi
+        # disagree on it
+        with pytest.raises(ValueError, match="four-vectors must be finite"):
+            GinkgoModel([FourVector(5.0, 0.0, 0.0, 1.0), leaf], lam=1.5)
 
     def test_truth_tree_mass_ordering(self):
         jet = exact_leaf_jet(7, 55)
