@@ -602,3 +602,12 @@ class TestFrozenOutputs:
         trellis = DenseTrellis(GroundSet(n), make_model(kind, n, seed=5))
         assert output_digest(*trellis.sample_many(200, seed=(7, n))) == draws
         assert output_digest(*trellis.map_hierarchy()) == best
+
+    @pytest.mark.parametrize("kind, draws", [
+        ("ginkgo", "9ae39de3dc2a90c3"),
+        ("dasgupta", "05adc9b32939cd0e"),
+        ("correlation", "9a075fd697a7359a"),
+    ])
+    def test_digest_fourteen_leaves(self, kind, draws):
+        trellis = DenseTrellis(GroundSet(14), make_model(kind, 14, seed=5))
+        assert output_digest(*trellis.sample_many(2000, seed=(7, 14))) == draws
