@@ -131,30 +131,15 @@ def pivot_splits(parent: int) -> Iterator[int]:
         t = (t - rest) & rest
 
 
-def submasks(bits: int) -> np.ndarray:
-    """Every submask of ``bits``, 0 and ``bits`` included, as an ascending
-    int64 array; built by doubling, one leaf at a time from the lowest."""
-    out = np.zeros(1 << popcount(bits), dtype=np.int64)
-    size = 1
-    for i in leaf_indices(bits):
-        out[size : size << 1] = out[:size] | (1 << i)
-        size <<= 1
-    return out
-
-
-def pivot_splits_array(parent: int | np.ndarray) -> np.ndarray:
-    """Same enumeration as pivot_splits but as an ascending int64 array.
+def pivot_splits_array(parent: np.ndarray) -> np.ndarray:
+    """Same enumeration as pivot_splits, for a batch of parents.
 
     Given an int64 array of parents that all hold the same number k >= 2 of
     leaves, returns every parent's 2**(k-1) - 1 left children in one flat
-    array, parent by parent, ascending within each parent.  The block is
-    built by doubling across the batch, the way submasks builds one row.
+    int64 array, parent by parent, ascending within each parent.  The block
+    is built by doubling across the batch, one leaf at a time from the
+    lowest.
     """
-    if not isinstance(parent, np.ndarray):
-        if popcount(parent) < 2:
-            raise ValueError("cannot split a singleton cluster")
-        pivot = parent & -parent
-        return pivot | submasks(parent ^ pivot)[:-1]  # the last would rebuild parent
     k = int(np.bitwise_count(parent[0]))
     if np.any(np.bitwise_count(parent) != k):
         raise ValueError("a batch of parents must share one popcount")
@@ -171,6 +156,20 @@ def pivot_splits_array(parent: int | np.ndarray) -> np.ndarray:
         np.bitwise_or(block[:, :size], low[:, None], out=block[:, size : size << 1])
         size <<= 1
     return block[:, :-1].ravel()  # each row's last entry would rebuild its parent
+
+
+def pivot_split_at(parents: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Entry ``index`` of each parent's row of pivot_splits_array: the
+    pivot plus the leaves of the rest that the bits of ``index`` select,
+    lowest leaf first."""
+    left = parents & -parents
+    rest = parents ^ left
+    while index.any():
+        low = rest & -rest
+        left = left | low * (index & 1)
+        rest = rest ^ low
+        index = index >> 1
+    return left
 
 
 def split_term_count(n: int) -> int:
@@ -239,6 +238,14 @@ class Hierarchy:
             parent: _canonical_pair(parent, left, right)
             for parent, (left, right) in children.items()
         }
+
+    @classmethod
+    def from_canonical(cls, root: int, children: dict[int, tuple[int, int]]) -> "Hierarchy":
+        """Wrap a child map whose pairs are canonical already, unchecked."""
+        tree = cls.__new__(cls)
+        tree.root = root
+        tree.children = children
+        return tree
 
     def num_leaves(self) -> int:
         return popcount(self.root)
@@ -334,10 +341,7 @@ def grow_hierarchy(root: int, split) -> Hierarchy:
             children[v] = (left, v ^ left)
             stack.append(v ^ left)
             stack.append(left)
-    tree = Hierarchy.__new__(Hierarchy)  # the pairs are canonical already
-    tree.root = root
-    tree.children = children
-    return tree
+    return Hierarchy.from_canonical(root, children)
 
 
 def draw_index(cum: np.ndarray, rng: np.random.Generator) -> int:

@@ -8,8 +8,8 @@ restricted to realizable hierarchies.  Edges matter, not just vertices:
 two trellises on the same vertex set can realize very different tree
 counts.
 
-MAP trees and draws come from ``core.grow_hierarchy``, shared with the
-dense engine: the MAP rule reads the stored best pair, and the sampler
+MAP trees and draws come from ``core.grow_hierarchy``, which also builds
+dense MAP trees: the MAP rule reads the stored best pair, and the sampler
 draws no uniform at a vertex with a single pair.
 """
 

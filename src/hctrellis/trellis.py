@@ -14,9 +14,13 @@ top-down: each split hands its share of the parent's probability to both
 children, summed in the log domain (high-beta marginals underflow a linear
 sum).  The first marginal query runs it; later queries are lookups.
 
-MAP trees and draws come from ``core.grow_hierarchy``, shared with the
-sparse engine: the MAP rule reads the backpointer, and the sampler draws
-one uniform per non-singleton parent, two-leaf parents included.
+The MAP tree comes from ``core.grow_hierarchy``, shared with the sparse
+engine, reading the backpointers.  Posterior draws are batched instead:
+all draws walk down together, one tree level per pass, each picking its
+splits from per-vertex cumulative weights built once per trellis, in the
+same chunks as the fill.  A draw spends one uniform per non-singleton
+node in preorder, two-leaf nodes included, so it equals the draw a
+one-node-at-a-time walk would make from the same generator.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from .core import (
     LOG_ZERO,
     GroundSet,
     Hierarchy,
-    draw_index,
     grow_hierarchy,
     num_hierarchies,
+    pivot_split_at,
     pivot_splits_array,
 )
 from .models import PotentialModel, log_hierarchy_potential
@@ -38,6 +42,23 @@ from .models import PotentialModel, log_hierarchy_potential
 # Split terms per fill chunk: each popcount level is filled a block of
 # parents at a time, bounding the temporaries to a few arrays of this length.
 FILL_CHUNK_TERMS = 1 << 14
+# Draws walked down together; larger counts run as consecutive batches that
+# keep drawing from the same generator.
+SAMPLE_CHUNK_DRAWS = 1 << 14
+
+
+def _split_chunks(levels):
+    """Yield (parents, lefts, rights, width) for every split of every parent
+    in ``levels``, an iterable of arrays of parents that share a popcount,
+    in chunks of ~FILL_CHUNK_TERMS split terms; each parent owns ``width``
+    consecutive splits, lefts ascending."""
+    for level in levels:
+        width = (1 << (int(np.bitwise_count(level[0])) - 1)) - 1  # splits per parent
+        step = max(1, FILL_CHUNK_TERMS // width)
+        for lo in range(0, level.size, step):
+            parents = level[lo : lo + step]
+            lefts = pivot_splits_array(parents)
+            yield parents, lefts, np.repeat(parents, width) ^ lefts, width
 
 
 class DenseTrellis:
@@ -56,25 +77,20 @@ class DenseTrellis:
         self._map_child: np.ndarray | None = None
         self._counts: np.ndarray | None = None
         self._log_p: np.ndarray | None = None
-        self._sample_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # Split distributions for sampling, built on demand: vertex v's
+        # cumulative weights start at _split_cum[_split_at[v]] (-1: not built).
+        self._split_at: np.ndarray | None = None
+        self._split_cum = np.empty(0)
+        self._split_used = 0
 
     # -- dynamic program ----------------------------------------------------
 
     def _level_chunks(self, sizes=None):
         """Yield (parents, lefts, rights, width) for every split, one popcount
-        level at a time in chunks of ~FILL_CHUNK_TERMS split terms; each
-        parent owns ``width`` consecutive splits, lefts ascending.  Levels
-        run bottom-up unless ``sizes`` gives their order."""
+        level at a time, bottom-up unless ``sizes`` gives their order."""
         n = self.ground.n
         pc = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
-        for k in range(2, n + 1) if sizes is None else sizes:
-            width = (1 << (k - 1)) - 1  # splits per parent
-            level = np.nonzero(pc == k)[0]
-            step = max(1, FILL_CHUNK_TERMS // width)
-            for lo in range(0, level.size, step):
-                parents = level[lo : lo + step]
-                lefts = pivot_splits_array(parents)
-                yield parents, lefts, np.repeat(parents, width) ^ lefts, width
+        return _split_chunks(np.nonzero(pc == k)[0] for k in (range(2, n + 1) if sizes is None else sizes))
 
     def _ensure_filled(self) -> None:
         if self._log_z is not None:
@@ -183,38 +199,100 @@ class DenseTrellis:
 
     # -- posterior sampling ----------------------------------------------------
 
-    def _split_distribution(self, parent: int) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._sample_cache.get(parent)
-        if cached is not None:
-            return cached
-        subs = pivot_splits_array(parent)
-        comps = parent ^ subs
-        lp = self.model.log_psi_pairs(subs, comps)
-        terms = lp + self._log_z[subs] + self._log_z[comps]
-        m = float(terms.max())
-        cum = np.cumsum(np.exp(terms - m))
-        entry = (subs, cum)
-        self._sample_cache[parent] = entry
-        return entry
+    def _ensure_split_distributions(self, vertices: np.ndarray) -> None:
+        """Store the split distribution of every vertex not stored yet: the
+        cumulative weights psi * Z(left) * Z(right) over its splits in
+        pivot_splits_array order, scaled by the row maximum, at consecutive
+        places of one flat array."""
+        if self._split_at is None:
+            self._split_at = np.full(self.ground.full + 1, -1, dtype=np.int64)
+        new = np.unique(vertices[self._split_at[vertices] < 0])
+        if not new.size:
+            return
+        pc = np.bitwise_count(new).astype(np.int64)
+        used = self._split_used
+        need = used + int(((1 << (pc - 1)) - 1).sum())
+        if need > self._split_cum.size:  # grow by doubling, so appends stay amortized O(1)
+            grown = np.empty(max(need, 2 * self._split_cum.size))
+            grown[:used] = self._split_cum[:used]
+            self._split_cum = grown
+        log_z = self._log_z
+        for parents, lefts, rights, width in _split_chunks(new[pc == k] for k in np.unique(pc)):
+            terms = (self.model.log_psi_pairs(lefts, rights) + log_z[lefts] + log_z[rights]).reshape(-1, width)
+            self._split_cum[used : used + lefts.size] = np.cumsum(
+                np.exp(terms - terms.max(axis=1, keepdims=True)), axis=1
+            ).ravel()
+            self._split_at[parents] = used + width * np.arange(parents.size)
+            used += lefts.size
+        self._split_used = used
+
+    def _pick_lefts(self, vertices: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Left child drawn at each vertex from its uniform: split i where i
+        is min(searchsorted(cum, u * cum[-1], side="right"), width - 1),
+        found for all vertices at once by binary lifting over the store."""
+        at = self._split_at[vertices]
+        width = (1 << (np.bitwise_count(vertices).astype(np.int64) - 1)) - 1
+        cum = self._split_cum
+        target = u * cum[at + width - 1]
+        count = np.zeros_like(width)  # entries <= target, as searchsorted counts them
+        step = 1 << (int(width.max()).bit_length() - 1)
+        while step:
+            probe = count + step
+            count += step * ((probe <= width) & (cum[at + np.minimum(probe, width) - 1] <= target))
+            step >>= 1
+        return pivot_split_at(vertices, np.minimum(count, width - 1))
+
+    def _draw_batch(self, count: int, rng: np.random.Generator) -> list[Hierarchy]:
+        """``count`` posterior draws walked down together, one tree level
+        per pass.  Draw d gives uniform u[d, p] to its p-th non-singleton
+        node in preorder, left subtree first: a node at p has its left
+        child at p + 1 and its right child at p + |left|, so every uniform
+        lands where successive one-at-a-time draws would spend it."""
+        n, full = self.ground.n, self.ground.full
+        u = rng.random((count, n - 1))
+        nodes = np.zeros((count, n - 1), dtype=np.int64)
+        lefts = np.zeros((count, n - 1), dtype=np.int64)
+        draw = np.arange(count if n > 1 else 0)
+        pos = np.zeros(draw.size, dtype=np.int64)
+        v = np.full(draw.size, full, dtype=np.int64)
+        while draw.size:
+            self._ensure_split_distributions(v)
+            left = self._pick_lefts(v, u[draw, pos])
+            nodes[draw, pos] = v
+            lefts[draw, pos] = left
+            size_l = np.bitwise_count(left).astype(np.int64)
+            go_l = size_l > 1
+            go_r = np.bitwise_count(v) - size_l > 1
+            draw = np.concatenate((draw[go_l], draw[go_r]))
+            pos = np.concatenate((pos[go_l] + 1, (pos + size_l)[go_r]))
+            v = np.concatenate((left[go_l], (v ^ left)[go_r]))
+        rights = nodes ^ lefts
+        return [
+            Hierarchy.from_canonical(full, dict(zip(vs, zip(ls, rs))))
+            for vs, ls, rs in zip(nodes.tolist(), lefts.tolist(), rights.tolist())
+        ]
+
+    def _draws(self, count: int, rng: np.random.Generator) -> list[Hierarchy]:
+        """``count`` posterior draws; splits are chosen top-down per the exact
+        conditional p(left | parent) = psi * Z(left) * Z(right) / Z(parent).
+        Consumes n - 1 uniforms per draw, so splitting a count into several
+        calls on one generator gives the same draws."""
+        if count and self.log_partition() == LOG_ZERO:
+            raise ValueError("degenerate posterior: partition function is zero")
+        draws = []
+        for lo in range(0, count, SAMPLE_CHUNK_DRAWS):
+            draws += self._draw_batch(min(SAMPLE_CHUNK_DRAWS, count - lo), rng)
+        return draws
 
     def sample(self, rng: np.random.Generator) -> Hierarchy:
-        """One posterior draw; splits are chosen top-down per the exact
-        conditional p(left | parent) = psi * Z(left) * Z(right) / Z(parent)."""
-        if self.log_partition() == LOG_ZERO:
-            raise ValueError("degenerate posterior: partition function is zero")
-
-        def draw(parent: int) -> int:
-            subs, cum = self._split_distribution(parent)
-            return int(subs[draw_index(cum, rng)])
-
-        return grow_hierarchy(self.ground.full, draw)
+        """One posterior draw."""
+        return self._draws(1, rng)[0]
 
     def sample_hierarchy(self, seed) -> Hierarchy:
         return self.sample(np.random.default_rng(seed))
 
     def sample_many(self, count: int, seed) -> list[Hierarchy]:
-        rng = np.random.default_rng(seed)
-        return [self.sample(rng) for _ in range(count)]
+        return self._draws(count, np.random.default_rng(seed))
 
     # -- exact counting --------------------------------------------------------
 

@@ -15,12 +15,12 @@ from hctrellis.core import (
     lowest_leaf,
     mask_of,
     num_hierarchies,
+    pivot_split_at,
     pivot_splits,
     pivot_splits_array,
     popcount,
     relabel_hierarchy,
     split_term_count,
-    submasks,
 )
 
 A, B, C, D = 1, 2, 4, 8
@@ -83,14 +83,16 @@ class TestPivotSplits:
 
     @pytest.mark.parametrize("parent", [0b11, 0b1110100, full_mask(6)])
     def test_array_matches_generator(self, parent):
-        assert pivot_splits_array(parent).tolist() == list(pivot_splits(parent))
+        batch = pivot_splits_array(np.array([parent], dtype=np.int64))
+        assert batch.tolist() == list(pivot_splits(parent))
 
     @staticmethod
     def assert_batch_matches_scalar(parents):
+        """The batch equals the per-parent generator's output, concatenated."""
         batch = pivot_splits_array(np.asarray(parents, dtype=np.int64))
-        expected = np.concatenate([pivot_splits_array(int(p)) for p in parents])
+        expected = [int(s) for p in parents for s in pivot_splits(int(p))]
         assert batch.dtype == np.int64 and batch.ndim == 1
-        assert np.array_equal(batch, expected)
+        assert batch.tolist() == expected
 
     @pytest.mark.parametrize("k", range(2, 11))
     def test_batch_of_level_matches_scalar_calls(self, k):
@@ -102,16 +104,20 @@ class TestPivotSplits:
         parents = [mask_of(rng.choice(22, size=k, replace=False)) for _ in range(12)]
         self.assert_batch_matches_scalar(parents)
 
+    @pytest.mark.parametrize("k", [2, 3, 6, 11])
+    def test_split_at_index_matches_batch(self, k):
+        rng = np.random.default_rng(k)
+        parents = np.array([mask_of(rng.choice(22, size=k, replace=False)) for _ in range(5)])
+        width = (1 << (k - 1)) - 1
+        index = np.tile(np.arange(width), parents.size)
+        lefts = pivot_split_at(np.repeat(parents, width), index)
+        assert np.array_equal(lefts, pivot_splits_array(parents))
+
     def test_batch_rejects_singletons_and_mixed_sizes(self):
         with pytest.raises(ValueError):
             pivot_splits_array(np.array([A, C, 1 << 21], dtype=np.int64))
         with pytest.raises(ValueError):
             pivot_splits_array(np.array([A | B, A | B | C], dtype=np.int64))
-
-    @pytest.mark.parametrize("bits", [0, 0b1, 0b1011, 0b1110100, full_mask(6) << 3])
-    def test_submasks_ascending_and_complete(self, bits):
-        expected = [s for s in range(bits + 1) if not s & ~bits]
-        assert submasks(bits).tolist() == expected
 
 
 class TestLogSumExp:

@@ -563,6 +563,69 @@ class TestSampling:
         trellis = DenseTrellis(GroundSet(1), ConstantModel(1))
         assert trellis.sample_hierarchy(0) == Hierarchy(1, {})
 
+    @staticmethod
+    def assert_spent(rng, seed, uniforms):
+        """``rng`` stands where ``uniforms`` successive draws from ``seed`` leave it."""
+        reference = np.random.default_rng(seed)
+        reference.random(uniforms)
+        assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_one_at_a_time_matches_batch(self, n):
+        trellis = DenseTrellis(GroundSet(n), make_model("ginkgo", n, seed=3))
+        rng = np.random.default_rng(41)
+        singles = [trellis.sample(rng) for _ in range(25)]
+        self.assert_spent(rng, 41, 25 * (n - 1))
+        batch_rng = np.random.default_rng(41)
+        assert trellis.sample_many(25, batch_rng) == singles
+        self.assert_spent(batch_rng, 41, 25 * (n - 1))
+        for h in singles:  # children are inserted in preorder, as grow_hierarchy inserts them
+            assert list(h.children) == [v for v in h.preorder() if popcount(v) > 1]
+
+    def test_small_ground_sets(self):
+        one = DenseTrellis(GroundSet(1), ConstantModel(1)).sample_many(3, seed=0)
+        assert one == [Hierarchy(1, {})] * 3
+        two = DenseTrellis(GroundSet(2), make_model("dasgupta", 2, seed=0)).sample_many(3, seed=0)
+        assert two == [Hierarchy(3, {3: (1, 2)})] * 3
+
+    def test_batch_split_across_draw_chunks(self, monkeypatch):
+        trellis = DenseTrellis(GroundSet(8), make_model("correlation", 8, seed=6))
+        whole = trellis.sample_many(10, seed=2)
+        monkeypatch.setattr(htrellis, "SAMPLE_CHUNK_DRAWS", 3)
+        fresh = DenseTrellis(GroundSet(8), make_model("correlation", 8, seed=6))
+        assert fresh.sample_many(10, seed=2) == whole
+        assert [list(h.children) for h in fresh.sample_many(10, seed=2)] == [list(h.children) for h in whole]
+
+    def test_zero_draws_spend_no_uniform(self):
+        trellis = DenseTrellis(GroundSet(5), make_model("ginkgo", 5, seed=1))
+        rng = np.random.default_rng(8)
+        assert trellis.sample_many(0, rng) == []
+        self.assert_spent(rng, 8, 0)
+
+    def test_degenerate_raises_before_drawing(self):
+        trellis = DenseTrellis(GroundSet(4), _ZeroModel(4))
+        rng = np.random.default_rng(8)
+        with pytest.raises(ValueError, match="degenerate posterior"):
+            trellis.sample_many(5, rng)
+        with pytest.raises(ValueError, match="degenerate posterior"):
+            trellis.sample(rng)
+        self.assert_spent(rng, 8, 0)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_each_distribution_is_built_once(self, kind):
+        """Sampling evaluates psi for exactly the splits of the distinct
+        non-singleton nodes it visits, each node once."""
+        n = 10
+        trellis = DenseTrellis(GroundSet(n), make_model(kind, n, seed=4))
+        trellis.log_partition()
+        terms = []
+        psi_pairs = trellis.model.log_psi_pairs
+        trellis.model.log_psi_pairs = lambda lefts, rights: terms.append(len(lefts)) or psi_pairs(lefts, rights)
+        visited = set()
+        for count, seed in ((300, 1), (300, 1), (700, 2)):
+            visited.update(v for h in trellis.sample_many(count, seed) for v in h.children)
+            assert sum(terms) == sum((1 << (popcount(v) - 1)) - 1 for v in visited)
+
     def test_samples_are_valid(self):
         model = make_model("correlation", 5, seed=17)
         trellis = DenseTrellis(GroundSet(5), model)
