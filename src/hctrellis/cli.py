@@ -379,7 +379,7 @@ def cmd_bench(args, out: Path) -> int:
     csv_path = out / "bench.csv"
     _write_csv(csv_path, ["n", "ops", "ops_closed_form", "ops_ratio", "wall_fill_s",
                           "wall_map_s", "wall_marginals_s", "ns_per_term"], rows)
-    _record(args, out, model=args.model, n_min=args.n_min, n_max=args.n_max)
+    _record(args, out, **_model_fields(args), n_min=args.n_min, n_max=args.n_max)
     print(f"bench table -> {csv_path}")
     if args.n_max >= 8:
         final_ratio = rows[-1][3]

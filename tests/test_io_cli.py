@@ -461,6 +461,12 @@ class TestCliModelBinding:
         for row in rows[1:]:
             assert int(row[1]) == int(row[2])
 
+    def test_bench_records_model_parameters(self, tmp_path):
+        args = ["bench", "--n-max", "4", "--model", "dasgupta", "--beta", "0.5", "--out", str(tmp_path)]
+        assert main(args) == 0
+        record = json.loads((tmp_path / "records.jsonl").read_text())
+        assert (record["model"], record["beta"]) == ("dasgupta", 0.5) and "lam" in record
+
 
 # Every command at fixed seeds.  The digest covers each file written and
 # each stdout line, with wall-clock fields and temp paths masked, so a
@@ -534,4 +540,4 @@ class TestCliOutputDigest:
         for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
             digest.update(str(path.relative_to(tmp_path)).encode())
             digest.update(_masked_bytes(path))
-        assert digest.hexdigest()[:16] == "bffb44e222bd46a8"
+        assert digest.hexdigest()[:16] == "a6de82b1e54b2413"
