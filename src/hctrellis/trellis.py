@@ -25,6 +25,8 @@ one-node-at-a-time walk would make from the same generator.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .core import (
@@ -82,6 +84,7 @@ class DenseTrellis:
         self._split_at: np.ndarray | None = None
         self._split_cum = np.empty(0)
         self._split_used = 0
+        self._split_lock = threading.Lock()
 
     # -- dynamic program ----------------------------------------------------
 
@@ -90,7 +93,8 @@ class DenseTrellis:
         level at a time, bottom-up unless ``sizes`` gives their order."""
         n = self.ground.n
         pc = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
-        return _split_chunks(np.nonzero(pc == k)[0] for k in (range(2, n + 1) if sizes is None else sizes))
+        sizes = range(2, n + 1) if sizes is None else sizes
+        return _split_chunks(np.nonzero(pc == k)[0] for k in sizes)
 
     def _ensure_filled(self) -> None:
         if self._log_z is not None:
@@ -204,27 +208,29 @@ class DenseTrellis:
         cumulative weights psi * Z(left) * Z(right) over its splits in
         pivot_splits_array order, scaled by the row maximum, at consecutive
         places of one flat array."""
-        if self._split_at is None:
-            self._split_at = np.full(self.ground.full + 1, -1, dtype=np.int64)
-        new = np.unique(vertices[self._split_at[vertices] < 0])
-        if not new.size:
-            return
-        pc = np.bitwise_count(new).astype(np.int64)
-        used = self._split_used
-        need = used + int(((1 << (pc - 1)) - 1).sum())
-        if need > self._split_cum.size:  # grow by doubling, so appends stay amortized O(1)
-            grown = np.empty(max(need, 2 * self._split_cum.size))
-            grown[:used] = self._split_cum[:used]
-            self._split_cum = grown
-        log_z = self._log_z
-        for parents, lefts, rights, width in _split_chunks(new[pc == k] for k in np.unique(pc)):
-            terms = (self.model.log_psi_pairs(lefts, rights) + log_z[lefts] + log_z[rights]).reshape(-1, width)
-            self._split_cum[used : used + lefts.size] = np.cumsum(
-                np.exp(terms - terms.max(axis=1, keepdims=True)), axis=1
-            ).ravel()
-            self._split_at[parents] = used + width * np.arange(parents.size)
-            used += lefts.size
-        self._split_used = used
+        with self._split_lock:  # appends must not interleave across threads
+            if self._split_at is None:
+                self._split_at = np.full(self.ground.full + 1, -1, dtype=np.int64)
+            new = np.unique(vertices[self._split_at[vertices] < 0])
+            if not new.size:
+                return
+            pc = np.bitwise_count(new).astype(np.int64)
+            used = self._split_used
+            need = used + int(((1 << (pc - 1)) - 1).sum())
+            if need > self._split_cum.size:  # grow by doubling, so appends stay amortized O(1)
+                grown = np.empty(max(need, 2 * self._split_cum.size))
+                grown[:used] = self._split_cum[:used]
+                self._split_cum = grown
+            log_z = self._log_z
+            for parents, lefts, rights, width in _split_chunks(new[pc == k] for k in np.unique(pc)):
+                terms = self.model.log_psi_pairs(lefts, rights) + log_z[lefts] + log_z[rights]
+                terms = terms.reshape(-1, width)
+                self._split_cum[used : used + lefts.size] = np.cumsum(
+                    np.exp(terms - terms.max(axis=1, keepdims=True)), axis=1
+                ).ravel()
+                self._split_at[parents] = used + width * np.arange(parents.size)
+                used += lefts.size
+            self._split_used = used
 
     def _pick_lefts(self, vertices: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Left child drawn at each vertex from its uniform: split i where i

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -611,6 +613,33 @@ class TestSampling:
             trellis.sample(rng)
         self.assert_spent(rng, 8, 0)
 
+    def test_threads_drawing_from_one_trellis(self):
+        """Threads sharing a trellis append to one split store; each must
+        still get the draws it would get alone."""
+        n, seeds = 10, range(8)
+        model = make_model("ginkgo", n, seed=2)
+        expected = [DenseTrellis(GroundSet(n), model).sample_many(100, seed=s) for s in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                shared = DenseTrellis(GroundSet(n), model)
+                shared.log_partition()
+                results = {}
+
+                def work(s):
+                    results[s] = shared.sample_many(100, seed=s)
+
+                threads = [threading.Thread(target=work, args=(s,)) for s in seeds]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert [results[s] for s in seeds] == expected
+        finally:
+            sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_each_distribution_is_built_once(self, kind):
         """Sampling evaluates psi for exactly the splits of the distinct
@@ -620,7 +649,12 @@ class TestSampling:
         trellis.log_partition()
         terms = []
         psi_pairs = trellis.model.log_psi_pairs
-        trellis.model.log_psi_pairs = lambda lefts, rights: terms.append(len(lefts)) or psi_pairs(lefts, rights)
+
+        def counting(lefts, rights):
+            terms.append(len(lefts))
+            return psi_pairs(lefts, rights)
+
+        trellis.model.log_psi_pairs = counting
         visited = set()
         for count, seed in ((300, 1), (300, 1), (700, 2)):
             visited.update(v for h in trellis.sample_many(count, seed) for v in h.children)
