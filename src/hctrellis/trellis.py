@@ -278,27 +278,26 @@ class DenseTrellis:
             for vs, ls, rs in zip(nodes.tolist(), lefts.tolist(), rights.tolist())
         ]
 
-    def _draws(self, count: int, rng: np.random.Generator) -> list[Hierarchy]:
-        """``count`` posterior draws; splits are chosen top-down per the exact
-        conditional p(left | parent) = psi * Z(left) * Z(right) / Z(parent).
-        Consumes n - 1 uniforms per draw, so splitting a count into several
-        calls on one generator gives the same draws."""
-        if count and self.log_partition() == LOG_ZERO:
-            raise ValueError("degenerate posterior: partition function is zero")
-        draws = []
-        for lo in range(0, count, SAMPLE_CHUNK_DRAWS):
-            draws += self._draw_batch(min(SAMPLE_CHUNK_DRAWS, count - lo), rng)
-        return draws
-
     def sample(self, rng: np.random.Generator) -> Hierarchy:
         """One posterior draw."""
-        return self._draws(1, rng)[0]
+        return self.sample_many(1, rng)[0]
 
     def sample_hierarchy(self, seed) -> Hierarchy:
         return self.sample(np.random.default_rng(seed))
 
     def sample_many(self, count: int, seed) -> list[Hierarchy]:
-        return self._draws(count, np.random.default_rng(seed))
+        """``count`` posterior draws; splits are chosen top-down per the exact
+        conditional p(left | parent) = psi * Z(left) * Z(right) / Z(parent).
+        ``seed`` may be a Generator: each draw advances it by n - 1
+        uniforms, so splitting a count into several calls gives the same
+        draws."""
+        if count and self.log_partition() == LOG_ZERO:
+            raise ValueError("degenerate posterior: partition function is zero")
+        rng = np.random.default_rng(seed)
+        draws = []
+        for lo in range(0, count, SAMPLE_CHUNK_DRAWS):
+            draws += self._draw_batch(min(SAMPLE_CHUNK_DRAWS, count - lo), rng)
+        return draws
 
     # -- exact counting --------------------------------------------------------
 
