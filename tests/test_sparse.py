@@ -2,12 +2,14 @@ import math
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from hctrellis import (
     ConstantModel,
+    CorrelationModel,
     DasguptaModel,
     DenseTrellis,
     GinkgoModel,
@@ -20,7 +22,7 @@ from hctrellis import (
     oracle_summary,
 )
 from hctrellis.core import full_mask, log_sum_exp
-from hctrellis.datasets import random_similarity_weights
+from hctrellis.datasets import random_affinity_weights, random_similarity_weights
 from hctrellis.jetgen import JetConfig, generate_jet
 from hctrellis.sparse import (
     LeafOrdering,
@@ -34,6 +36,13 @@ from conftest import WIDE_ROOT, exact_leaf_jet, make_model, output_digest
 
 def _jet_set(n, count, seed, lam=1.5):
     return [exact_leaf_jet(n, (seed, i), lam=lam) for i in range(count)]
+
+
+@lru_cache(maxsize=None)
+def _wide_simulator_trellis() -> SparseTrellis:
+    """40 simulator trees over 24 leaves, norm-ascending (740 vertices)."""
+    config = JetConfig(root=WIDE_ROOT, lam=1.5, seed=5, leaf_count_filter=(24, 24))
+    return build_simulator_trellis(config, 40, LeafOrdering("norm_ascending"))
 
 
 class TestBuildFromTrees:
@@ -253,6 +262,27 @@ class TestSampling:
         assert output_digest(*[ev.sample(rng) for _ in range(200)]) == draws
         assert output_digest(*ev.map_hierarchy()) == best
 
+    @pytest.mark.parametrize("seed, model_kind, index, log_z", [
+        (1, "ginkgo", 0, "-0x1.007a79194fa05p+6"),
+        (1, "ginkgo", 1, "-0x1.16841b5cfee17p+6"),
+        (1, "dasgupta", 9, "-0x1.3446dcb3e6a42p+6"),
+        (2, "ginkgo", 0, "-0x1.0db27d1761ae6p+6"),
+        (2, "ginkgo", 1, "-0x1.1523e7fb644a2p+6"),
+        (2, "dasgupta", 9, "-0x1.2eea3f0ed40d4p+6"),
+    ])
+    def test_frozen_log_partition(self, seed, model_kind, index, log_z):
+        # the exact bits of log Z for the cases of test_frozen_digest, which
+        # hashes only trees
+        ordering = LeafOrdering("norm_ascending")
+        config = JetConfig(lam=1.5, seed=seed, leaf_count_filter=(8, 8))
+        st = build_simulator_trellis(config, 40, ordering)
+        if model_kind == "ginkgo":
+            jet = exact_leaf_jet(8, (seed, 100 + index))
+            model = GinkgoModel(ordering.order_payloads(jet.payloads), lam=1.5)
+        else:
+            model = DasguptaModel(random_similarity_weights(8, seed))
+        assert st.evaluate(model).log_partition().hex() == log_z
+
 
 class TestStructureValidation:
     def test_missing_singleton_rejected(self):
@@ -368,6 +398,22 @@ class TestBeyondDenseCap:
         assert output_digest(ev.log_partition(), *ev.map_hierarchy()) == "aa66ca0cae2c9ab7"
         rng = np.random.default_rng((5, 24))
         assert output_digest(*[ev.sample(rng) for _ in range(300)]) == "6177c10a8aad8a9d"
+
+    @pytest.mark.parametrize("model_kind, best, draws", [
+        ("dasgupta", "8202799d75c5f6cb", "63962f60d7672ddc"),
+        ("correlation", "763bb87e26208891", "3b09bb3c68814690"),
+    ])
+    def test_frozen_pair_sum_digest(self, model_kind, best, draws):
+        # pair-sum aggregates past the dense cap come from the memo backend of
+        # _SubsetPairSums; beta = 0.1 keeps 19 and 28 distinct trees among the
+        # draws, so the digest depends on the split weights
+        st = _wide_simulator_trellis()
+        w = random_similarity_weights if model_kind == "dasgupta" else random_affinity_weights
+        cls = DasguptaModel if model_kind == "dasgupta" else CorrelationModel
+        ev = st.evaluate(cls(w(24, 5), beta=0.1))
+        assert output_digest(ev.log_partition(), *ev.map_hierarchy()) == best
+        rng = np.random.default_rng((5, 24))
+        assert output_digest(*[ev.sample(rng) for _ in range(300)]) == draws
 
 
 class TestSerialization:
