@@ -25,7 +25,6 @@ from .core import (
     LOG_ZERO,
     TABLE_MAX_LEAVES,
     Hierarchy,
-    full_mask,
     leaf_indices,
     popcount,
     popcounts,
@@ -150,8 +149,13 @@ class _ClusterTable:
 
     Subclasses build the table by ascending doubling and compute ``_value``
     by adding the cluster's leaves in ascending order, the same additions in
-    the same order, so the two backends agree bit for bit.  The memo is
-    append-only and holds plain floats.
+    the same order, so the two backends agree bit for bit.  ``prime`` fills
+    the memo for a batch of clusters with ``_values``, which makes those
+    additions as vector adds over the batch, one leaf at a time, each term
+    times the leaf's 0/1 membership.  A non-member thus adds 0.0 times a
+    finite number, a zero, which leaves every sum as it was: a sum that
+    starts at +0.0 never becomes -0.0.  The memo is append-only and holds
+    plain floats.
     """
 
     def __init__(self, n: int):
@@ -173,6 +177,17 @@ class _ClusterTable:
         if self._table is not None:
             return self._table[arr]
         return np.array([self.get(int(b)) for b in arr])
+
+    def prime(self, clusters) -> None:
+        """Memoize every cluster of ``clusters`` at once; a table has nothing
+        to prime.  Clusters are uint64 or Python ints: int64 would sign bit 63.
+        """
+        if self._table is not None:
+            return
+        bits = np.asarray(clusters, dtype=np.uint64)
+        leaves = np.arange(self.n, dtype=np.uint64)[:, None]
+        member = ((bits >> leaves) & np.uint64(1)).astype(np.float64)  # (n, clusters)
+        self._memo.update(zip(bits.tolist(), self._values(member).tolist()))
 
 
 class _SubsetPairSums(_ClusterTable):
@@ -204,6 +219,16 @@ class _SubsetPairSums(_ClusterTable):
             for j in leaves[:k]:
                 row += self._rows[j][h]
             total += row
+        return total
+
+    def _values(self, member: np.ndarray) -> np.ndarray:
+        # rows[h] sums w[j][h] over the member leaves j < h, j ascending
+        rows = np.zeros(member.shape)
+        for j in range(self.n - 1):
+            rows[j + 1 :] += self.w[j, j + 1 :, None] * member[j]
+        total = np.zeros(member.shape[1])
+        for h in range(self.n):
+            total += rows[h] * member[h]
         return total
 
 
@@ -244,6 +269,12 @@ class _SubsetMass2(_ClusterTable):
             pz += dz
         return _mass2(e, px, py, pz)
 
+    def _values(self, member: np.ndarray) -> np.ndarray:
+        sums = np.zeros((4, member.shape[1]))
+        for h in range(self.n):
+            sums += self.payloads[h, :, None] * member[h]
+        return _mass2(*sums)
+
 
 # ---------------------------------------------------------------------------
 # models
@@ -260,7 +291,7 @@ class PotentialModel:
             raise ValueError("sibling clusters must be nonempty")
         if left & right:
             raise ValueError("sibling clusters overlap")
-        if (left | right) & ~full_mask(self.n):
+        if (left | right) >> self.n:
             raise ValueError("cluster extends past the ground set")
         if left > right:  # symmetric by construction: evaluate one ordering
             left, right = right, left
@@ -271,6 +302,11 @@ class PotentialModel:
         return np.array(
             [self._log_psi(*sorted((int(l), int(r)))) for l, r in zip(lefts, rights)]
         )
+
+    def prime(self, clusters) -> None:
+        """Precompute the per-cluster aggregates psi reads for ``clusters``
+        (uint64 or Python int bit sets).  Psi values are the same with or
+        without it; a model without aggregates does nothing."""
 
     def _log_psi(self, left: int, right: int) -> float:
         raise NotImplementedError
@@ -305,6 +341,9 @@ class DasguptaModel(PotentialModel):
         self.beta = beta
         self.n = weights.n
         self._sums = _SubsetPairSums(weights.w)
+
+    def prime(self, clusters) -> None:
+        self._sums.prime(clusters)
 
     def _log_psi(self, left: int, right: int) -> float:
         parent = left | right
@@ -342,6 +381,10 @@ class CorrelationModel(PotentialModel):
         w = weights.w
         self._pos = _SubsetPairSums(np.where(w > 0, w, 0.0))
         self._neg = _SubsetPairSums(np.where(w < 0, w, 0.0))
+
+    def prime(self, clusters) -> None:
+        self._pos.prime(clusters)
+        self._neg.prime(clusters)
 
     def _log_psi(self, left: int, right: int) -> float:
         parent = left | right
@@ -392,6 +435,9 @@ class GinkgoModel(PotentialModel):
         self.payloads = arr
         self._t = _SubsetMass2(arr)
         self._log_norm = math.log(lam) - math.log1p(-math.exp(-lam))
+
+    def prime(self, clusters) -> None:
+        self._t.prime(clusters)
 
     def _density(self, t: float, t_parent: float) -> float:
         if t < 0:

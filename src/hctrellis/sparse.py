@@ -8,6 +8,18 @@ restricted to realizable hierarchies.  Edges matter, not just vertices:
 two trellises on the same vertex set can realize very different tree
 counts.
 
+The trellis keeps its vertices in size order and numbers them in that
+order.  At construction it stores its pairs once as a split table over
+those ids: per popcount level, (parent, left, right) id arrays with the
+segment where each parent's pairs start.  An evaluation primes the model's
+per-cluster aggregates for every vertex in one batch, calls scalar
+``log_psi`` once per stored pair, and then reduces one level at a time
+with numpy gathers.  Log Z goes through ``core.log_sum_exp`` at every
+vertex with two or more pairs and is ``x + 0.0`` at a vertex whose single
+term is x, which is what ``log_sum_exp([x])`` returns; MAP keeps the first
+maximum of each segment.  So every value is bit-identical to a per-vertex
+recursion over the same pairs.
+
 MAP trees and draws come from ``core.grow_hierarchy``, which also builds
 dense MAP trees: the MAP rule reads the stored best pair, and the sampler
 draws no uniform at a vertex with a single pair.
@@ -19,6 +31,7 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +102,72 @@ def _norm_order(payloads) -> list[int]:
     return sorted(range(len(norms)), key=lambda i: (norms[i], i))
 
 
+class _Level(NamedTuple):
+    """The stored pairs of one popcount level, in vertex-id order.
+
+    Pair positions are level-local: pair i of the level is flat edge
+    ``edges.start + i``.
+    """
+
+    vertices: slice  # ids of the level's vertices
+    edges: slice  # flat edge positions of their pairs
+    parent: np.ndarray  # level-local index of each pair's parent
+    left: np.ndarray  # vertex id of each pair's left child
+    right: np.ndarray  # vertex id of each pair's right child
+    starts: np.ndarray  # position of each parent's first pair
+    single: np.ndarray  # ids of the parents holding exactly one pair
+    single_pair: np.ndarray  # position of that pair
+    multi: list[tuple[int, int, int]]  # (id, first pair, end) of the other parents
+
+
+class _SplitTable:
+    """Every stored pair of a pruned trellis, over vertex ids.
+
+    Ids follow the order of ``vertices``, which is by size, so a level's
+    vertices are one id range and the root is the last id.  The pairs of
+    vertex i are the flat edges ``first[i]`` to ``first[i + 1]``.
+    """
+
+    def __init__(self, vertices: dict[int, list[tuple[int, int]]]):
+        self.ids = {v: i for i, v in enumerate(vertices)}
+        self.bits = np.array(list(vertices), dtype=np.uint64)
+        self.pairs = [pair for pairs in vertices.values() for pair in pairs]
+        counts = np.array([len(pairs) for pairs in vertices.values()], dtype=np.intp)
+        first = np.concatenate(([0], np.cumsum(counts)))
+        self.first = first.tolist()
+        left = np.array([self.ids[l] for l, _ in self.pairs], dtype=np.intp)
+        right = np.array([self.ids[r] for _, r in self.pairs], dtype=np.intp)
+        sizes = [popcount(v) for v in vertices]
+        bounds = [i for i in range(1, len(sizes)) if sizes[i] != sizes[i - 1]]
+        self.levels: list[_Level] = []
+        for v0, v1 in zip([0, *bounds], [*bounds, len(sizes)]):
+            if sizes[v0] == 1:
+                continue
+            e0, e1 = self.first[v0], self.first[v1]
+            level_counts = counts[v0:v1]
+            starts = first[v0:v1] - e0
+            single = np.flatnonzero(level_counts == 1)
+            self.levels.append(_Level(
+                vertices=slice(v0, v1),
+                edges=slice(e0, e1),
+                parent=np.repeat(np.arange(v1 - v0), level_counts),
+                left=left[e0:e1],
+                right=right[e0:e1],
+                starts=starts,
+                single=v0 + single,
+                single_pair=starts[single],
+                multi=[(v0 + int(i), int(starts[i]), int(starts[i] + level_counts[i]))
+                       for i in np.flatnonzero(level_counts > 1)],
+            ))
+
+
 class SparseTrellis:
-    """Vertices plus explicit child pairs, pruned of dead ends."""
+    """Vertices plus explicit child pairs, pruned of dead ends.
+
+    ``vertices`` is ordered by size, then by bits, once, at construction.
+    Counting walks that order; evaluation and sampling read the split
+    table built from it.
+    """
 
     def __init__(
         self,
@@ -102,6 +179,7 @@ class SparseTrellis:
         self.ordering = ordering
         self.vertices = self._canonicalize(vertices)
         self._prune()
+        self._table = _SplitTable(self.vertices)
         self._counts: dict[int, int] | None = None
 
     def _canonicalize(self, vertices) -> dict[int, list[tuple[int, int]]]:
@@ -123,7 +201,7 @@ class SparseTrellis:
         # every vertex), then drop anything unreachable from the root.  Every
         # kept vertex thus has a pair, and a kept root reaches every singleton.
         vertices: dict[int, list[tuple[int, int]]] = {}
-        for v in sorted(self.vertices, key=popcount):
+        for v in sorted(self.vertices, key=lambda v: (popcount(v), v)):
             pairs = [(l, r) for l, r in self.vertices[v] if l in vertices and r in vertices]
             if pairs or popcount(v) == 1:
                 vertices[v] = pairs
@@ -140,7 +218,7 @@ class SparseTrellis:
             for l, r in vertices[v]:
                 stack.append(l)
                 stack.append(r)
-        self.vertices = {v: vertices[v] for v in sorted(reachable)}
+        self.vertices = {v: pairs for v, pairs in vertices.items() if v in reachable}
 
     # -- structure queries ----------------------------------------------------
 
@@ -152,17 +230,14 @@ class SparseTrellis:
         return len(self.vertices)
 
     def num_edges(self) -> int:
-        return sum(len(p) for p in self.vertices.values())
+        return len(self._table.pairs)
 
     def count_trees(self) -> int:
         """Hierarchies realizable from the stored pairs (exact big int)."""
         if self._counts is None:
             counts: dict[int, int] = {}
-            for v in sorted(self.vertices, key=popcount):
-                if popcount(v) == 1:
-                    counts[v] = 1
-                else:
-                    counts[v] = sum(counts[l] * counts[r] for l, r in self.vertices[v])
+            for v, pairs in self.vertices.items():  # by size: children first
+                counts[v] = sum(counts[l] * counts[r] for l, r in pairs) if pairs else 1
             self._counts = counts
         return self._counts[self.root]
 
@@ -221,48 +296,58 @@ class SparseTrellis:
 
 
 class SparseEvaluation:
-    """Bottom-up memo of one model over a sparse trellis."""
+    """Bottom-up tables of one model over a sparse trellis, by vertex id."""
 
     def __init__(self, trellis: SparseTrellis, model: PotentialModel):
         if model.n != trellis.ground.n:
             raise ValueError("model and trellis disagree on the leaf count")
         self.trellis = trellis
         self.model = model
-        self.log_z: dict[int, float] = {}
-        self._map_val: dict[int, float] = {}
-        self._map_pair: dict[int, tuple[int, int]] = {}
-        self._z_terms: dict[int, list[float]] = {}
+        self._table = trellis._table
         self._sample_cache: dict[int, np.ndarray] = {}
         self._fill()
 
     def _fill(self) -> None:
-        for v in sorted(self.trellis.vertices, key=popcount):
-            pairs = self.trellis.vertices[v]
-            if popcount(v) == 1:
-                self.log_z[v] = 0.0
-                self._map_val[v] = 0.0
-                continue
-            psi = [self.model.log_psi(l, r) for l, r in pairs]
-            z_terms = [p + self.log_z[l] + self.log_z[r] for p, (l, r) in zip(psi, pairs)]
-            self._z_terms[v] = z_terms
-            self.log_z[v] = log_sum_exp(z_terms)
-            m_terms = [p + self._map_val[l] + self._map_val[r] for p, (l, r) in zip(psi, pairs)]
-            best = max(range(len(pairs)), key=m_terms.__getitem__)  # first maximum
-            self._map_val[v] = m_terms[best]
-            self._map_pair[v] = pairs[best]
+        table = self._table
+        self.model.prime(table.bits)
+        log_psi = self.model.log_psi
+        psi = np.array([log_psi(l, r) for l, r in table.pairs], dtype=np.float64)
+        self._log_z = log_z = np.zeros(len(table.bits))  # singletons: log 1
+        map_val = np.zeros(len(table.bits))
+        self._map_edge = np.zeros(len(table.bits), dtype=np.intp)
+        self._z_terms = np.empty(len(psi))  # flat, by edge: the sampler's weights
+        for level in table.levels:
+            p = psi[level.edges]
+            z_terms = p + log_z[level.left] + log_z[level.right]
+            m_terms = p + map_val[level.left] + map_val[level.right]
+            self._z_terms[level.edges] = z_terms
+            log_z[level.single] = z_terms[level.single_pair] + 0.0
+            if level.multi:
+                terms = z_terms.tolist()
+                for v, start, end in level.multi:
+                    log_z[v] = log_sum_exp(terms[start:end])
+            # first maximum of each segment, as the dense backpointer keeps
+            top = np.maximum.reduceat(m_terms, level.starts)
+            pos = np.arange(len(m_terms))
+            hit = np.where(m_terms == top[level.parent], pos, len(pos))
+            best = np.minimum.reduceat(hit, level.starts)
+            map_val[level.vertices] = m_terms[best]
+            self._map_edge[level.vertices] = best + level.edges.start
 
     def log_partition(self) -> float:
-        return self.log_z[self.trellis.root]
+        return float(self._log_z[-1])  # the root has the last id
 
     def map_hierarchy(self) -> tuple[float, Hierarchy]:
         """Best realizable tree; the value is its recomputed potential."""
-        tree = grow_hierarchy(self.trellis.root, lambda v: self._map_pair[v][0])
+        pairs, ids, edge = self._table.pairs, self._table.ids, self._map_edge
+        tree = grow_hierarchy(self.trellis.root, lambda v: pairs[edge[ids[v]]][0])
         return log_hierarchy_potential(tree, self.model), tree
 
     def _split_distribution(self, v: int) -> np.ndarray:
         cum = self._sample_cache.get(v)
         if cum is None:
-            terms = np.array(self._z_terms[v])
+            first, i = self._table.first, self._table.ids[v]
+            terms = self._z_terms[first[i] : first[i + 1]]
             cum = np.cumsum(np.exp(terms - terms.max()))
             self._sample_cache[v] = cum
         return cum

@@ -15,13 +15,15 @@ from hctrellis import (
     GinkgoModel,
     GroundSet,
     Hierarchy,
+    PotentialModel,
     SparseTrellis,
     enumerate_hierarchies,
     log_hierarchy_potential,
     num_hierarchies,
     oracle_summary,
 )
-from hctrellis.core import full_mask, log_sum_exp
+import hctrellis.sparse
+from hctrellis.core import LOG_ZERO, full_mask, grow_hierarchy, log_sum_exp
 from hctrellis.datasets import random_affinity_weights, random_similarity_weights
 from hctrellis.jetgen import JetConfig, generate_jet
 from hctrellis.sparse import (
@@ -282,6 +284,168 @@ class TestSampling:
         else:
             model = DasguptaModel(random_similarity_weights(8, seed))
         assert st.evaluate(model).log_partition().hex() == log_z
+
+
+
+def _recursion(st, model):
+    """Per-vertex log Z and MAP pair by a plain per-vertex recursion over the
+    stored pairs: the reference the split-table fill must match bit for bit."""
+    log_z, best, pair = {}, {}, {}
+    for v in sorted(st.vertices, key=lambda v: (v.bit_count(), v)):
+        pairs = st.vertices[v]
+        if v.bit_count() == 1:
+            log_z[v] = best[v] = 0.0
+            continue
+        psi = [model.log_psi(l, r) for l, r in pairs]
+        log_z[v] = log_sum_exp([p + log_z[l] + log_z[r] for p, (l, r) in zip(psi, pairs)])
+        m_terms = [p + best[l] + best[r] for p, (l, r) in zip(psi, pairs)]
+        i = max(range(len(pairs)), key=m_terms.__getitem__)
+        best[v], pair[v] = m_terms[i], pairs[i]
+    return log_z, pair
+
+
+def _assert_matches_recursion(st, model):
+    ev = st.evaluate(model)
+    log_z, pair = _recursion(st, model)
+    ids, pairs = st._table.ids, st._table.pairs
+    assert [ev._log_z[ids[v]].hex() for v in st.vertices] == [log_z[v].hex() for v in st.vertices]
+    assert {v: pairs[ev._map_edge[ids[v]]] for v in pair} == pair
+    assert ev.log_partition().hex() == log_z[st.root].hex()
+    return ev
+
+
+class _DeadSplits(PotentialModel):
+    """psi = 0 for every split of a cluster in ``dead``, else psi(l, r) =
+    exp(-|l| / |r|), so live splits differ and MAP has one answer."""
+
+    kind = "dead"
+
+    def __init__(self, n, dead):
+        self.n = n
+        self.dead = set(dead)
+
+    def _log_psi(self, left, right):
+        if left | right in self.dead:
+            return LOG_ZERO
+        return -left.bit_count() / right.bit_count()
+
+
+def _wide_ginkgo(index: int) -> GinkgoModel:
+    config = JetConfig(root=WIDE_ROOT, lam=1.5, seed=5, leaf_count_filter=(24, 24))
+    jet = generate_jet(replace(config, seed=(5, 1000 + index)))
+    return GinkgoModel(LeafOrdering("norm_ascending").order_payloads(jet.payloads), lam=1.5)
+
+
+class TestSplitTable:
+    def test_vertices_in_one_size_order(self):
+        st = _wide_simulator_trellis()
+        keys = list(st.vertices)
+        assert keys == sorted(keys, key=lambda v: (v.bit_count(), v))
+        assert st.num_edges() == sum(len(p) for p in st.vertices.values()) == 761
+        assert list(st._table.ids) == keys
+
+    @pytest.mark.parametrize("case", ["ginkgo24", "dasgupta24", "correlation6", "ginkgo7"])
+    def test_fill_matches_recursion(self, case):
+        if case == "ginkgo24":
+            _assert_matches_recursion(_wide_simulator_trellis(), _wide_ginkgo(0))
+        elif case == "dasgupta24":
+            model = DasguptaModel(random_similarity_weights(24, 5), beta=0.1)
+            _assert_matches_recursion(_wide_simulator_trellis(), model)
+        elif case == "correlation6":
+            st = build_from_trees(list(enumerate_hierarchies(6)))
+            _assert_matches_recursion(st, make_model("correlation", 6, seed=8))
+        else:
+            jets = _jet_set(7, 12, seed=41)
+            st = build_from_trees([j.tree for j in jets])
+            _assert_matches_recursion(st, GinkgoModel(jets[0].payloads, lam=1.5))
+
+    def test_one_scalar_psi_per_edge(self):
+        st = _wide_simulator_trellis()
+        model = _wide_ginkgo(1)
+        calls = []
+        scalar = model.log_psi
+        model.log_psi = lambda l, r: calls.append((l, r)) or scalar(l, r)
+        model.log_psi_pairs = None  # the sparse fill must not use it
+        st.evaluate(model)
+        assert len(calls) == st.num_edges()
+        assert sorted(calls) == sorted(p for pairs in st.vertices.values() for p in pairs)
+
+    def test_log_sum_exp_once_per_vertex_with_two_pairs(self, monkeypatch):
+        st = _wide_simulator_trellis()
+        calls = []
+        exact = hctrellis.sparse.log_sum_exp
+        monkeypatch.setattr(
+            hctrellis.sparse, "log_sum_exp", lambda values: calls.append(len(values)) or exact(values)
+        )
+        st.evaluate(_wide_ginkgo(2))
+        multi = sorted(len(p) for p in st.vertices.values() if len(p) >= 2)
+        assert multi and sorted(calls) == multi
+
+    def test_count_and_fill_do_not_sort(self, monkeypatch):
+        # the size order is settled once at construction
+        st = _wide_simulator_trellis()
+        fresh = SparseTrellis(st.ground, {v: list(p) for v, p in st.vertices.items()}, st.ordering)
+        model = _wide_ginkgo(0)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("sorted() called after construction")
+
+        monkeypatch.setattr(hctrellis.sparse, "sorted", no_sort, raising=False)
+        monkeypatch.setattr(hctrellis.sparse, "_SplitTable", None)  # nor a new table
+        assert fresh.count_trees() == 54
+        fresh.evaluate(model).map_hierarchy()
+
+    def test_dead_root_gives_zero_and_first_pair(self):
+        st = build_from_trees(list(enumerate_hierarchies(5)))
+        root = st.root
+        ev = _assert_matches_recursion(st, _DeadSplits(5, {root}))
+        assert ev.log_partition() == LOG_ZERO
+        _, tree = ev.map_hierarchy()
+        assert tree.children[root] == st.vertices[root][0]
+        with pytest.raises(ValueError):
+            ev.sample_hierarchy(0)
+
+    def test_every_split_dead_follows_first_pairs(self):
+        jets = _jet_set(7, 5, seed=43)
+        st = build_from_trees([j.tree for j in jets])
+        assert any(len(p) == 1 for p in st.vertices.values() if p)
+        assert any(len(p) > 1 for p in st.vertices.values())
+        ev = _assert_matches_recursion(st, _DeadSplits(7, st.vertices))
+        assert ev.log_partition() == LOG_ZERO
+        first = grow_hierarchy(st.root, lambda v: st.vertices[v][0][0])
+        assert ev.map_hierarchy() == (LOG_ZERO, first)
+
+    def test_dead_inner_vertex_is_bypassed(self):
+        st = build_from_trees(list(enumerate_hierarchies(5)))
+        dead = 0b01111
+        model = _DeadSplits(5, {dead})
+        ev = _assert_matches_recursion(st, model)
+        assert ev._log_z[st._table.ids[dead]] == LOG_ZERO
+        assert math.isfinite(ev.log_partition())
+        _, tree = ev.map_hierarchy()
+        assert dead not in tree.children
+        rng = np.random.default_rng(1)
+        assert all(dead not in ev.sample(rng).children for _ in range(200))
+
+    @pytest.mark.parametrize("kind", ["constant", "dasgupta", "ginkgo"])
+    def test_one_and_two_leaves(self, kind):
+        one = Hierarchy(1, {})
+        st1 = build_from_trees([one])
+        assert (st1.num_vertices(), st1.num_edges(), st1.count_trees()) == (1, 0, 1)
+        ev1 = st1.evaluate(make_model(kind, 1, seed=3))
+        assert ev1.log_partition() == 0.0
+        assert ev1.map_hierarchy() == (0.0, one)
+        assert ev1.sample_hierarchy(0) == one
+
+        two = Hierarchy(3, {3: (1, 2)})
+        st2 = build_from_trees([two])
+        assert (st2.num_vertices(), st2.num_edges(), st2.count_trees()) == (3, 1, 1)
+        model = make_model(kind, 2, seed=3)
+        ev2 = st2.evaluate(model)
+        psi = model.log_psi(1, 2)
+        assert ev2.log_partition().hex() == log_sum_exp([psi + 0.0 + 0.0]).hex()
+        assert ev2.map_hierarchy() == (psi, two)
+        assert ev2.sample_hierarchy(0) == two
 
 
 class TestStructureValidation:
