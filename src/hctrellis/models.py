@@ -149,13 +149,8 @@ class _ClusterTable:
 
     Subclasses build the table by ascending doubling and compute ``_value``
     by adding the cluster's leaves in ascending order, the same additions in
-    the same order, so the two backends agree bit for bit.  ``prime`` fills
-    the memo for a batch of clusters with ``_values``, which makes those
-    additions as vector adds over the batch, one leaf at a time, each term
-    times the leaf's 0/1 membership.  A non-member thus adds 0.0 times a
-    finite number, a zero, which leaves every sum as it was: a sum that
-    starts at +0.0 never becomes -0.0.  The memo is append-only and holds
-    plain floats.
+    the same order, so the two backends agree bit for bit.  The memo is
+    append-only and holds plain floats.
     """
 
     def __init__(self, n: int):
@@ -177,17 +172,6 @@ class _ClusterTable:
         if self._table is not None:
             return self._table[arr]
         return np.array([self.get(int(b)) for b in arr])
-
-    def prime(self, clusters) -> None:
-        """Memoize every cluster of ``clusters`` at once; a table has nothing
-        to prime.  Clusters are uint64 or Python ints: int64 would sign bit 63.
-        """
-        if self._table is not None:
-            return
-        bits = np.asarray(clusters, dtype=np.uint64)
-        leaves = np.arange(self.n, dtype=np.uint64)[:, None]
-        member = ((bits >> leaves) & np.uint64(1)).astype(np.float64)  # (n, clusters)
-        self._memo.update(zip(bits.tolist(), self._values(member).tolist()))
 
 
 class _SubsetPairSums(_ClusterTable):
@@ -221,23 +205,17 @@ class _SubsetPairSums(_ClusterTable):
             total += row
         return total
 
-    def _values(self, member: np.ndarray) -> np.ndarray:
-        # rows[h] sums w[j][h] over the member leaves j < h, j ascending
-        rows = np.zeros(member.shape)
-        for j in range(self.n - 1):
-            rows[j + 1 :] += self.w[j, j + 1 :, None] * member[j]
-        total = np.zeros(member.shape[1])
-        for h in range(self.n):
-            total += rows[h] * member[h]
-        return total
-
 
 class _SubsetMass2(_ClusterTable):
     """Squared mass of the summed leaf four-vectors of each cluster.
 
     Both backends subtract the squares in _mass2's order.  The table is
     built one component at a time, so construction holds two 2**n arrays,
-    not five.
+    not five.  ``prime`` fills the memo for a batch of clusters with
+    ``_value``'s additions made as vector adds, one leaf at a time, each
+    term times the leaf's 0/1 membership.  A non-member adds 0.0 times a
+    finite number, a zero, which leaves every sum as it was: a sum that
+    starts at +0.0 never becomes -0.0.
     """
 
     def __init__(self, payloads: np.ndarray):
@@ -269,11 +247,19 @@ class _SubsetMass2(_ClusterTable):
             pz += dz
         return _mass2(e, px, py, pz)
 
-    def _values(self, member: np.ndarray) -> np.ndarray:
-        sums = np.zeros((4, member.shape[1]))
+    def prime(self, clusters) -> None:
+        """Memoize every cluster of ``clusters`` at once; a table has nothing
+        to prime.  Clusters are uint64 or Python ints: int64 would sign bit 63.
+        """
+        if self._table is not None:
+            return
+        bits = np.asarray(clusters, dtype=np.uint64)
+        leaves = np.arange(self.n, dtype=np.uint64)[:, None]
+        member = ((bits >> leaves) & np.uint64(1)).astype(np.float64)  # (n, clusters)
+        sums = np.zeros((4, len(bits)))
         for h in range(self.n):
             sums += self.payloads[h, :, None] * member[h]
-        return _mass2(*sums)
+        self._memo.update(zip(bits.tolist(), _mass2(*sums).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +292,8 @@ class PotentialModel:
     def prime(self, clusters) -> None:
         """Precompute the per-cluster aggregates psi reads for ``clusters``
         (uint64 or Python int bit sets).  Psi values are the same with or
-        without it; a model without aggregates does nothing."""
+        without it.  The default does nothing; GinkgoModel batches its
+        squared masses, which sparse jet trellises past the table cap read."""
 
     def _log_psi(self, left: int, right: int) -> float:
         raise NotImplementedError
@@ -341,9 +328,6 @@ class DasguptaModel(PotentialModel):
         self.beta = beta
         self.n = weights.n
         self._sums = _SubsetPairSums(weights.w)
-
-    def prime(self, clusters) -> None:
-        self._sums.prime(clusters)
 
     def _log_psi(self, left: int, right: int) -> float:
         parent = left | right
@@ -381,10 +365,6 @@ class CorrelationModel(PotentialModel):
         w = weights.w
         self._pos = _SubsetPairSums(np.where(w > 0, w, 0.0))
         self._neg = _SubsetPairSums(np.where(w < 0, w, 0.0))
-
-    def prime(self, clusters) -> None:
-        self._pos.prime(clusters)
-        self._neg.prime(clusters)
 
     def _log_psi(self, left: int, right: int) -> float:
         parent = left | right

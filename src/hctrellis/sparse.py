@@ -343,24 +343,25 @@ class SparseEvaluation:
         tree = grow_hierarchy(self.trellis.root, lambda v: pairs[edge[ids[v]]][0])
         return log_hierarchy_potential(tree, self.model), tree
 
-    def _split_distribution(self, v: int) -> np.ndarray:
-        cum = self._sample_cache.get(v)
+    def _split_distribution(self, i: int) -> np.ndarray:
+        cum = self._sample_cache.get(i)
         if cum is None:
-            first, i = self._table.first, self._table.ids[v]
+            first = self._table.first
             terms = self._z_terms[first[i] : first[i + 1]]
             cum = np.cumsum(np.exp(terms - terms.max()))
-            self._sample_cache[v] = cum
+            self._sample_cache[i] = cum
         return cum
 
     def sample(self, rng: np.random.Generator) -> Hierarchy:
         if self.log_partition() == LOG_ZERO:
             raise ValueError("degenerate posterior: restricted partition function is zero")
+        pairs, ids, first = self._table.pairs, self._table.ids, self._table.first
 
         def draw(v: int) -> int:
-            pairs = self.trellis.vertices[v]
-            if len(pairs) == 1:
-                return pairs[0][0]  # a single pair needs no uniform
-            return pairs[draw_index(self._split_distribution(v), rng)][0]
+            i = ids[v]
+            if first[i + 1] - first[i] == 1:
+                return pairs[first[i]][0]  # a single pair needs no uniform
+            return pairs[first[i] + draw_index(self._split_distribution(i), rng)][0]
 
         return grow_hierarchy(self.trellis.root, draw)
 
