@@ -191,6 +191,20 @@ def num_hierarchies(n: int) -> int:
     return out
 
 
+def tree_counts(n: int, size: int, leaves, levels) -> np.ndarray:
+    """Hierarchies below each of ``size`` vertices over n leaves: 1 at
+    ``leaves``, then per level of (parents, lefts, rights, starts), bottom-up,
+    parent i sums count(lefts[j]) * count(rights[j]) from j = starts[i] to
+    the next start.  No count exceeds (2n-3)!!, so they are int64 while that
+    fits and exact Python ints above."""
+    fits = num_hierarchies(n) <= np.iinfo(np.int64).max
+    counts = np.zeros(size, dtype=np.int64 if fits else object)
+    counts[leaves] = 1
+    for parents, lefts, rights, starts in levels:
+        counts[parents] = np.add.reduceat(counts[lefts] * counts[rights], starts)
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # ground sets and hierarchies
 

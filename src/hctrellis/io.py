@@ -51,10 +51,19 @@ def _leaves_to_dicts(leaves) -> list[dict]:
 
 
 def _leaves_from_dicts(items) -> list[FourVector]:
-    return [
-        FourVector(float(v["E"]), float(v["px"]), float(v["py"]), float(v["pz"]))
-        for v in items
-    ]
+    try:
+        return [
+            FourVector(float(v["E"]), float(v["px"]), float(v["py"]), float(v["pz"]))
+            for v in items
+        ]
+    except TypeError as exc:
+        raise ValueError(f"leaves must be a list of E/px/py/pz objects: {exc}") from None
+
+
+def _json_object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"a {what} file must hold a JSON object, not a {type(data).__name__}")
+    return data
 
 
 def dataset_to_dict(ds: Dataset) -> dict:
@@ -77,11 +86,15 @@ def dataset_to_dict(ds: Dataset) -> dict:
 
 
 def dataset_from_dict(data: dict) -> Dataset:
+    data = _json_object(data, "dataset")
     schema = data.get("schema")
     labels = tuple(data["labels"]) if data.get("labels") else None
     if schema == SCHEMA_PAIRWISE:
         n = int(data["n"])
-        triples = [(int(i), int(j), float(w)) for i, j, w in data.get("weights", [])]
+        try:
+            triples = [(int(i), int(j), float(w)) for i, j, w in data.get("weights", [])]
+        except TypeError as exc:
+            raise ValueError(f"weights must be a list of [i, j, w] triples: {exc}") from None
         return Dataset(schema, n, weights=PairwiseWeights.from_triples(n, triples), labels=labels)
     if schema == SCHEMA_FOURVECTORS:
         leaves = _leaves_from_dicts(data["leaves"])
@@ -152,6 +165,7 @@ def hierarchy_to_tree_dict(h: Hierarchy, model: PotentialModel | None = None) ->
 
 
 def tree_dict_to_hierarchy(data: dict) -> Hierarchy:
+    data = _json_object(data, "tree")
     clusters = [int(c) for c in data["clusters"]]
     parents = [int(p) for p in data["parents"]]
     if len(clusters) != len(parents):
@@ -159,6 +173,8 @@ def tree_dict_to_hierarchy(data: dict) -> Hierarchy:
     kids: dict[int, list[int]] = {}
     root = None
     for k, p in enumerate(parents):
+        if not -1 <= p < len(clusters):
+            raise ValueError(f"parent index {p} is out of range")
         if p == -1:
             if root is not None:
                 raise ValueError("two roots in tree file")

@@ -9,11 +9,13 @@ two trellises on the same vertex set can realize very different tree
 counts.
 
 The trellis keeps its vertices in size order and numbers them in that
-order.  At construction it stores its pairs once as a split table over
-those ids: per popcount level, (parent, left, right) id arrays with the
-segment where each parent's pairs start.  An evaluation primes the model's
-per-cluster aggregates for every vertex in one batch, calls scalar
-``log_psi`` once per stored pair, and then reduces one level at a time
+order.  At construction it stores its pairs once as a CSR split table over
+those ids: per-vertex pair counts and first pairs, flat left and right
+child ids, and the id range of each cluster size.  Counting and
+evaluation slice it one size at a time; the count runs
+``core.tree_counts``, the dense engine's kernel.  An evaluation primes the
+model's per-cluster aggregates for every vertex in one batch, calls scalar
+``log_psi`` once per stored pair, and then reduces one size at a time
 with numpy gathers.  Log Z goes through ``core.log_sum_exp`` at every
 vertex with two or more pairs and is ``x + 0.0`` at a vertex whose single
 term is x, which is what ``log_sum_exp([x])`` returns; MAP keeps the first
@@ -31,7 +33,6 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .core import (
     num_hierarchies,
     popcount,
     relabel_hierarchy,
+    tree_counts,
 )
 from .baselines import beam_search_forest
 from .jetgen import JetConfig, generate_jet
@@ -102,71 +104,43 @@ def _norm_order(payloads) -> list[int]:
     return sorted(range(len(norms)), key=lambda i: (norms[i], i))
 
 
-class _Level(NamedTuple):
-    """The stored pairs of one popcount level, in vertex-id order.
-
-    Pair positions are level-local: pair i of the level is flat edge
-    ``edges.start + i``.
-    """
-
-    vertices: slice  # ids of the level's vertices
-    edges: slice  # flat edge positions of their pairs
-    parent: np.ndarray  # level-local index of each pair's parent
-    left: np.ndarray  # vertex id of each pair's left child
-    right: np.ndarray  # vertex id of each pair's right child
-    starts: np.ndarray  # position of each parent's first pair
-    single: np.ndarray  # ids of the parents holding exactly one pair
-    single_pair: np.ndarray  # position of that pair
-    multi: list[tuple[int, int, int]]  # (id, first pair, end) of the other parents
-
-
 class _SplitTable:
-    """Every stored pair of a pruned trellis, over vertex ids.
+    """Every stored pair of a pruned trellis, in CSR form over vertex ids.
 
-    Ids follow the order of ``vertices``, which is by size, so a level's
-    vertices are one id range and the root is the last id.  The pairs of
-    vertex i are the flat edges ``first[i]`` to ``first[i + 1]``.
+    Ids follow the order of ``vertices``, which is by size, so the vertices
+    of one cluster size are one id range and the root is the last id.  The
+    pairs of vertex i are the flat edges ``first[i]`` to ``first[i + 1]``,
+    with child ids ``left`` and ``right``.
     """
 
     def __init__(self, vertices: dict[int, list[tuple[int, int]]]):
         self.ids = {v: i for i, v in enumerate(vertices)}
         self.bits = np.array(list(vertices), dtype=np.uint64)
         self.pairs = [pair for pairs in vertices.values() for pair in pairs]
-        counts = np.array([len(pairs) for pairs in vertices.values()], dtype=np.intp)
-        first = np.concatenate(([0], np.cumsum(counts)))
-        self.first = first.tolist()
-        left = np.array([self.ids[l] for l, _ in self.pairs], dtype=np.intp)
-        right = np.array([self.ids[r] for _, r in self.pairs], dtype=np.intp)
+        self.num_pairs = np.array([len(pairs) for pairs in vertices.values()], dtype=np.intp)
+        self.first = [0, *np.cumsum(self.num_pairs).tolist()]
+        self.left = np.array([self.ids[l] for l, _ in self.pairs], dtype=np.intp)
+        self.right = np.array([self.ids[r] for _, r in self.pairs], dtype=np.intp)
         sizes = [popcount(v) for v in vertices]
         bounds = [i for i in range(1, len(sizes)) if sizes[i] != sizes[i - 1]]
-        self.levels: list[_Level] = []
-        for v0, v1 in zip([0, *bounds], [*bounds, len(sizes)]):
-            if sizes[v0] == 1:
-                continue
-            e0, e1 = self.first[v0], self.first[v1]
-            level_counts = counts[v0:v1]
-            starts = first[v0:v1] - e0
-            single = np.flatnonzero(level_counts == 1)
-            self.levels.append(_Level(
-                vertices=slice(v0, v1),
-                edges=slice(e0, e1),
-                parent=np.repeat(np.arange(v1 - v0), level_counts),
-                left=left[e0:e1],
-                right=right[e0:e1],
-                starts=starts,
-                single=v0 + single,
-                single_pair=starts[single],
-                multi=[(v0 + int(i), int(starts[i]), int(starts[i] + level_counts[i]))
-                       for i in np.flatnonzero(level_counts > 1)],
-            ))
+        self.ranges = [(v0, v1) for v0, v1 in zip([0, *bounds], [*bounds, len(sizes)])
+                       if sizes[v0] > 1]
+
+    def levels(self):
+        """Yield (parents, edges, starts) per cluster size >= 2, bottom-up: the
+        size's id range, the flat positions of its pairs, and where each
+        parent's pairs start, counted from the level's first pair."""
+        for v0, v1 in self.ranges:
+            num_pairs = self.num_pairs[v0:v1]
+            starts = np.cumsum(num_pairs) - num_pairs
+            yield slice(v0, v1), slice(self.first[v0], self.first[v1]), starts
 
 
 class SparseTrellis:
     """Vertices plus explicit child pairs, pruned of dead ends.
 
     ``vertices`` is ordered by size, then by bits, once, at construction.
-    Counting walks that order; evaluation and sampling read the split
-    table built from it.
+    Counting, evaluation and sampling read the split table built from it.
     """
 
     def __init__(
@@ -180,7 +154,7 @@ class SparseTrellis:
         self.vertices = self._canonicalize(vertices)
         self._prune()
         self._table = _SplitTable(self.vertices)
-        self._counts: dict[int, int] | None = None
+        self._counts: np.ndarray | None = None
 
     def _canonicalize(self, vertices) -> dict[int, list[tuple[int, int]]]:
         out: dict[int, list[tuple[int, int]]] = {}
@@ -233,13 +207,12 @@ class SparseTrellis:
         return len(self._table.pairs)
 
     def count_trees(self) -> int:
-        """Hierarchies realizable from the stored pairs (exact big int)."""
+        """Hierarchies realizable from the stored pairs, as a Python int."""
         if self._counts is None:
-            counts: dict[int, int] = {}
-            for v, pairs in self.vertices.items():  # by size: children first
-                counts[v] = sum(counts[l] * counts[r] for l, r in pairs) if pairs else 1
-            self._counts = counts
-        return self._counts[self.root]
+            t, n = self._table, self.ground.n
+            levels = ((ids, t.left[e], t.right[e], starts) for ids, e, starts in t.levels())
+            self._counts = tree_counts(n, len(t.bits), slice(0, n), levels)  # singletons: ids < n
+        return int(self._counts[-1])  # the root has the last id
 
     def sparsity_index(self) -> Fraction:
         """Fraction of all (2n-3)!! hierarchies this trellis realizes."""
@@ -278,13 +251,18 @@ class SparseTrellis:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SparseTrellis":
+        if not isinstance(data, dict):
+            raise ValueError(f"a trellis file must hold a JSON object, not a {type(data).__name__}")
         ordering = None
         if data.get("ordering"):
             ordering = LeafOrdering(data["ordering"]["mode"], data["ordering"].get("seed"))
-        vertices = {
-            int(entry["bits"]): [(int(l), int(r)) for l, r in entry["pairs"]]
-            for entry in data["vertices"]
-        }
+        try:
+            vertices = {
+                int(entry["bits"]): [(int(l), int(r)) for l, r in entry["pairs"]]
+                for entry in data["vertices"]
+            }
+        except TypeError as exc:
+            raise ValueError(f"vertices must be a list of bits/pairs objects: {exc}") from None
         return cls(GroundSet(int(data["n"])), vertices, ordering)
 
     def save(self, path) -> None:
@@ -316,23 +294,28 @@ class SparseEvaluation:
         map_val = np.zeros(len(table.bits))
         self._map_edge = np.zeros(len(table.bits), dtype=np.intp)
         self._z_terms = np.empty(len(psi))  # flat, by edge: the sampler's weights
-        for level in table.levels:
-            p = psi[level.edges]
-            z_terms = p + log_z[level.left] + log_z[level.right]
-            m_terms = p + map_val[level.left] + map_val[level.right]
-            self._z_terms[level.edges] = z_terms
-            log_z[level.single] = z_terms[level.single_pair] + 0.0
-            if level.multi:
-                terms = z_terms.tolist()
-                for v, start, end in level.multi:
-                    log_z[v] = log_sum_exp(terms[start:end])
+        first = table.first
+        for parents, edges, starts in table.levels():
+            p, left, right = psi[edges], table.left[edges], table.right[edges]
+            z_terms = p + log_z[left] + log_z[right]
+            m_terms = p + map_val[left] + map_val[right]
+            self._z_terms[edges] = z_terms
+            num_pairs = table.num_pairs[parents]
+            # x + 0.0 is log_sum_exp([x]) at a single-pair parent; the others
+            # are overwritten with their own log_sum_exp
+            log_z[parents] = z_terms[starts] + 0.0
+            multi = np.flatnonzero(num_pairs > 1)
+            if multi.size:
+                terms, e0 = z_terms.tolist(), edges.start
+                for v in (parents.start + multi).tolist():
+                    log_z[v] = log_sum_exp(terms[first[v] - e0 : first[v + 1] - e0])
             # first maximum of each segment, as the dense backpointer keeps
-            top = np.maximum.reduceat(m_terms, level.starts)
+            top = np.maximum.reduceat(m_terms, starts)
             pos = np.arange(len(m_terms))
-            hit = np.where(m_terms == top[level.parent], pos, len(pos))
-            best = np.minimum.reduceat(hit, level.starts)
-            map_val[level.vertices] = m_terms[best]
-            self._map_edge[level.vertices] = best + level.edges.start
+            hit = np.where(m_terms == np.repeat(top, num_pairs), pos, len(pos))
+            best = np.minimum.reduceat(hit, starts)
+            map_val[parents] = m_terms[best]
+            self._map_edge[parents] = best + edges.start
 
     def log_partition(self) -> float:
         return float(self._log_z[-1])  # the root has the last id

@@ -6,8 +6,8 @@ so a whole level is filled in chunks of parents: one block of splits, one
 psi call and one row-wise reduction per chunk.  The same single pass
 produces both the summed (partition function) and maxed (MAP) recursions
 plus MAP backpointers; the split-term counter therefore advances exactly
-once per evaluated split.  Tree counts run over the same chunks, in int64
-while (2n-3)!! fits and in exact Python ints above.
+once per evaluated split.  Tree counts run over the same chunks through
+``core.tree_counts``, the count kernel the sparse engine shares.
 
 Cluster marginals come from one outside pass over the same chunks, levels
 top-down: each split hands its share of the parent's probability to both
@@ -35,9 +35,9 @@ from .core import (
     GroundSet,
     Hierarchy,
     grow_hierarchy,
-    num_hierarchies,
     pivot_split_at,
     pivot_splits_array,
+    tree_counts,
 )
 from .models import PotentialModel, log_hierarchy_potential
 
@@ -305,12 +305,8 @@ class DenseTrellis:
         """Number of hierarchies the trellis realizes: (2n-3)!! when dense."""
         if self._counts is None:
             n = self.ground.n
-            fits = num_hierarchies(n) <= np.iinfo(np.int64).max  # bounds every term and sum
-            counts = np.zeros(1 << n, dtype=np.int64 if fits else object)
-            counts[1 << np.arange(n)] = 1
-            for parents, lefts, rights, width in self._level_chunks():
-                counts[parents] = (counts[lefts] * counts[rights]).reshape(-1, width).sum(axis=1)
-            self._counts = counts
+            levels = ((p, l, r, np.arange(0, l.size, w)) for p, l, r, w in self._level_chunks())
+            self._counts = tree_counts(n, 1 << n, 1 << np.arange(n), levels)
         return int(self._counts[self.ground.full])
 
     def tree_count_of(self, bits: int) -> int:

@@ -146,7 +146,7 @@ class TestCli:
             ["baselines", "--data", str(data), "--model", "dasgupta", "--out", str(tmp_path)]
         )
         assert code == 0
-        rows = list(csv.reader((tmp_path / "baselines.csv").open()))
+        rows = list(csv.reader((tmp_path / "baselines.csv").read_text().splitlines()))
         greedy_cost = -float(rows[1][2])
         assert map_cost < greedy_cost
         tree = load_tree(tmp_path / "map_tree.json")
@@ -169,7 +169,7 @@ class TestCli:
         assert main(
             ["baselines", "--corpus", str(corpus), "--model", "ginkgo", "--out", str(tmp_path)]
         ) == 0
-        rows = list(csv.reader((tmp_path / "baselines.csv").open()))
+        rows = list(csv.reader((tmp_path / "baselines.csv").read_text().splitlines()))
         assert len(rows) == 5
         for row in rows[1:]:
             greedy, beam, trellis = map(float, row[2:5])
@@ -201,7 +201,7 @@ class TestCli:
             ["sample", "--data", str(data), "--model", "ginkgo", "--count", "500",
              "--seed", "3", "--out", str(tmp_path)]
         ) == 0
-        rows = list(csv.reader((tmp_path / "sample_frequencies.csv").open()))
+        rows = list(csv.reader((tmp_path / "sample_frequencies.csv").read_text().splitlines()))
         freqs = [float(r[2]) for r in rows[1:]]
         counts = [int(r[1]) for r in rows[1:]]
         assert sum(counts) == 500
@@ -226,7 +226,7 @@ class TestCli:
         ) == 0
         written = list((tmp_path / "samples").glob("distinct_*.json"))
         assert 1 <= len(written) <= 15
-        rows = list(csv.reader((tmp_path / "sample_frequencies.csv").open()))
+        rows = list(csv.reader((tmp_path / "sample_frequencies.csv").read_text().splitlines()))
         assert sum(int(r[1]) for r in rows[1:]) == count
 
     def test_marginal_cluster(self, tmp_path, capsys):
@@ -303,7 +303,7 @@ class TestCli:
         assert trellis_file.exists()
         out = capsys.readouterr().out
         assert "sparsity=" in out and "mean(sparse MAP - greedy)" in out
-        rows = list(csv.reader((tmp_path / "sparse_eval.csv").open()))
+        rows = list(csv.reader((tmp_path / "sparse_eval.csv").read_text().splitlines()))
         assert len(rows) == 4
         for row in rows[1:]:
             sparse_map, greedy, full_map = map(float, row[1:4])
@@ -319,7 +319,7 @@ class TestCli:
             ["bench", "--n-min", "2", "--n-max", "9", "--model", "constant",
              "--out", str(tmp_path)]
         ) == 0
-        rows = list(csv.reader((tmp_path / "bench.csv").open()))
+        rows = list(csv.reader((tmp_path / "bench.csv").read_text().splitlines()))
         assert len(rows) == 9
         per_term = rows[0].index("ns_per_term")
         marginals = rows[0].index("wall_marginals_s")
@@ -378,6 +378,31 @@ class TestCliRefusals:
         assert main(args) == 2
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "map_tree.json").exists()
+
+    @pytest.mark.parametrize("kind, payload, message", [
+        ("tree", {"n": 2, "parents": [-1, 0, 3], "clusters": ["3", "1", "2"]}, "parent index 3"),
+        # -3 would wrap to the root and load as a valid tree
+        ("tree", {"n": 2, "parents": [-1, 0, -3], "clusters": ["3", "1", "2"]}, "parent index -3"),
+        ("dataset", [{"schema": "pairwise", "n": 2}], "must hold a JSON object"),
+        ("dataset", {"schema": "pairwise", "n": 2, "weights": 5}, "[i, j, w] triples"),
+        ("dataset", {"schema": "fourvectors", "leaves": 5}, "E/px/py/pz objects"),
+        ("trellis", [{"n": 2, "vertices": []}], "must hold a JSON object"),
+        ("trellis", {"n": 2, "vertices": 5}, "bits/pairs objects"),
+    ], ids=["tree_index_past_end", "tree_index_below_root", "dataset_list",
+            "dataset_weights_int", "dataset_leaves_int", "trellis_list", "trellis_vertices_int"])
+    def test_malformed_input_file_exits_2(self, tmp_path, capsys, kind, payload, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        data = tmp_path / "d.json"
+        _write_two_leaf_dataset(data)
+        args = {
+            "tree": ["marginal", "--data", str(data), "--fragment", str(bad)],
+            "dataset": ["z", "--data", str(bad)],
+            "trellis": ["sparse", "--load-trellis", str(bad)],
+        }[kind]
+        assert main([*args, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
 
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_sample_refuses_nonpositive_count(self, tmp_path, capsys, count):
@@ -439,7 +464,7 @@ class TestCliModelBinding:
                 repr(beam_search_cluster(model, None, 1)[0]),
                 repr(DenseTrellis(GroundSet(model.n), model).map_hierarchy()[0]),
             ])
-        rows = list(csv.reader((tmp_path / "baselines.csv").open()))
+        rows = list(csv.reader((tmp_path / "baselines.csv").read_text().splitlines()))
         assert rows[1:] == expected
         record = json.loads((tmp_path / "records.jsonl").read_text())
         assert (record["model"], record["lam"]) == ("ginkgo", 1.2)
@@ -456,7 +481,7 @@ class TestCliModelBinding:
     def test_bench_runs_correlation(self, tmp_path):
         args = ["bench", "--n-max", "6", "--model", "correlation", "--out", str(tmp_path)]
         assert main(args) == 0
-        rows = list(csv.reader((tmp_path / "bench.csv").open()))
+        rows = list(csv.reader((tmp_path / "bench.csv").read_text().splitlines()))
         assert len(rows) == 6
         for row in rows[1:]:
             assert int(row[1]) == int(row[2])
@@ -516,7 +541,7 @@ def _masked_bytes(path) -> bytes:
                                     sort_keys=True))
         return "\n".join(lines).encode()
     if path.suffix == ".csv":
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         keep = [k for k, name in enumerate(rows[0]) if not _is_wall(name)]
         return repr([[row[k] for k in keep] for row in rows]).encode()
     return path.read_bytes()

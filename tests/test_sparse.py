@@ -22,6 +22,7 @@ from hctrellis import (
     num_hierarchies,
     oracle_summary,
 )
+import hctrellis.core
 import hctrellis.sparse
 from hctrellis.core import LOG_ZERO, full_mask, grow_hierarchy, log_sum_exp
 from hctrellis.datasets import random_affinity_weights, random_similarity_weights
@@ -446,6 +447,68 @@ class TestSplitTable:
         assert ev2.log_partition().hex() == log_sum_exp([psi + 0.0 + 0.0]).hex()
         assert ev2.map_hierarchy() == (psi, two)
         assert ev2.sample_hierarchy(0) == two
+
+
+def _count_recursion(st) -> dict[int, int]:
+    """Trees below every vertex by a plain Python-int recursion over the
+    stored pairs: the reference for the count kernel."""
+    counts: dict[int, int] = {}
+    for v, pairs in st.vertices.items():  # by size: children first
+        counts[v] = sum(counts[l] * counts[r] for l, r in pairs) if pairs else 1
+    return counts
+
+
+def _assert_counts_match_recursion(st):
+    reference = _count_recursion(st)
+    count = st.count_trees()
+    assert type(count) is int and count == reference[st.root]
+    ids = st._table.ids
+    assert [st._counts[ids[v]] for v in st.vertices] == list(reference.values())
+
+
+def _interval_trellis(n: int) -> SparseTrellis:
+    """Every contiguous leaf range, split at every point: Catalan(n - 1) trees."""
+
+    def span(lo, hi):
+        return ((1 << (hi - lo)) - 1) << lo
+
+    vertices = {
+        span(lo, hi): [(span(lo, mid), span(mid, hi)) for mid in range(lo + 1, hi)]
+        for lo in range(n)
+        for hi in range(lo + 1, n + 1)
+    }
+    return SparseTrellis(GroundSet(n), vertices)
+
+
+class TestTreeCounts:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_kernel_matches_recursion_at_8_leaves(self, seed):
+        config = JetConfig(lam=1.5, seed=seed, leaf_count_filter=(8, 8))
+        st = build_simulator_trellis(config, 40, LeafOrdering("norm_ascending"))
+        _assert_counts_match_recursion(st)
+
+    def test_kernel_matches_recursion_at_24_leaves(self):
+        _assert_counts_match_recursion(_wide_simulator_trellis())
+
+    def test_python_int_on_both_dtype_paths(self, monkeypatch):
+        config = JetConfig(lam=1.5, seed=1, leaf_count_filter=(8, 8))
+        st = build_simulator_trellis(config, 40, LeafOrdering("norm_ascending"))
+        fixed = SparseTrellis(st.ground, st.vertices)
+        assert type(fixed.count_trees()) is int and fixed._counts.dtype == np.int64
+        monkeypatch.setattr(hctrellis.core, "num_hierarchies", lambda n: 2**63)  # cannot fit
+        exact = SparseTrellis(st.ground, st.vertices)
+        assert type(exact.count_trees()) is int and exact._counts.dtype == object
+        assert exact.count_trees() == fixed.count_trees()
+        assert all(type(c) is int for c in exact._counts)
+
+    def test_interval_trellis_counts_catalan(self):
+        # crosses the int64 / Python-int switch at 18 / 19 leaves and, at 64
+        # leaves, holds clusters with bit 63 set
+        for n in range(1, 65):
+            st = _interval_trellis(n)
+            catalan = math.comb(2 * n - 2, n - 1) // n
+            assert st.count_trees() == catalan, n
+            assert st.sparsity_index() == Fraction(catalan, num_hierarchies(n)), n
 
 
 class TestStructureValidation:
