@@ -66,6 +66,13 @@ def _json_object(data, what: str) -> dict:
     return data
 
 
+def _integer(value, what: str) -> int:
+    try:
+        return int(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, not {value!r}") from None
+
+
 def dataset_to_dict(ds: Dataset) -> dict:
     out: dict = {"schema": ds.schema, "n": ds.n}
     if ds.labels:
@@ -88,9 +95,12 @@ def dataset_to_dict(ds: Dataset) -> dict:
 def dataset_from_dict(data: dict) -> Dataset:
     data = _json_object(data, "dataset")
     schema = data.get("schema")
-    labels = tuple(data["labels"]) if data.get("labels") else None
+    try:
+        labels = tuple(data["labels"]) if data.get("labels") else None
+    except TypeError:
+        raise ValueError(f"labels must be a list of leaf names, not {data['labels']!r}") from None
     if schema == SCHEMA_PAIRWISE:
-        n = int(data["n"])
+        n = _integer(data["n"], "n")
         try:
             triples = [(int(i), int(j), float(w)) for i, j, w in data.get("weights", [])]
         except TypeError as exc:
@@ -166,8 +176,11 @@ def hierarchy_to_tree_dict(h: Hierarchy, model: PotentialModel | None = None) ->
 
 def tree_dict_to_hierarchy(data: dict) -> Hierarchy:
     data = _json_object(data, "tree")
-    clusters = [int(c) for c in data["clusters"]]
-    parents = [int(p) for p in data["parents"]]
+    try:
+        clusters = [int(c) for c in data["clusters"]]
+        parents = [int(p) for p in data["parents"]]
+    except TypeError as exc:
+        raise ValueError(f"clusters and parents must be lists of integers: {exc}") from None
     if len(clusters) != len(parents):
         raise ValueError("clusters and parents disagree in length")
     kids: dict[int, list[int]] = {}
@@ -189,7 +202,7 @@ def tree_dict_to_hierarchy(data: dict) -> Hierarchy:
             raise ValueError("every internal node needs exactly two children")
         children[parent] = (pair[0], pair[1])
     h = Hierarchy(root, children)
-    h.validate(n=int(data["n"]))
+    h.validate(n=_integer(data["n"], "n"))
     return h
 
 

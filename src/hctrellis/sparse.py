@@ -253,9 +253,14 @@ class SparseTrellis:
     def from_dict(cls, data: dict) -> "SparseTrellis":
         if not isinstance(data, dict):
             raise ValueError(f"a trellis file must hold a JSON object, not a {type(data).__name__}")
-        ordering = None
-        if data.get("ordering"):
-            ordering = LeafOrdering(data["ordering"]["mode"], data["ordering"].get("seed"))
+        ordering = data.get("ordering")
+        if ordering and not isinstance(ordering, dict):
+            raise ValueError(f"ordering must be a mode/seed object, not {ordering!r}")
+        ordering = LeafOrdering(ordering["mode"], ordering.get("seed")) if ordering else None
+        try:
+            n = int(data["n"])
+        except TypeError:
+            raise ValueError(f"n must be an integer, not {data['n']!r}") from None
         try:
             vertices = {
                 int(entry["bits"]): [(int(l), int(r)) for l, r in entry["pairs"]]
@@ -263,7 +268,7 @@ class SparseTrellis:
             }
         except TypeError as exc:
             raise ValueError(f"vertices must be a list of bits/pairs objects: {exc}") from None
-        return cls(GroundSet(int(data["n"])), vertices, ordering)
+        return cls(GroundSet(n), vertices, ordering)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1, sort_keys=True))

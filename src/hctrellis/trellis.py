@@ -16,16 +16,15 @@ sum).  The first marginal query runs it; later queries are lookups.
 
 The MAP tree comes from ``core.grow_hierarchy``, shared with the sparse
 engine, reading the backpointers.  Posterior draws are batched instead:
-all draws walk down together, one tree level per pass, each picking its
-splits from per-vertex cumulative weights built once per trellis, in the
-same chunks as the fill.  A draw spends one uniform per non-singleton
+all draws walk down together, one cluster size per pass, each picking its
+splits from cumulative weights built once per call for every distinct
+vertex of the pass, in the same chunks as the fill.  Sampling writes
+nothing to the trellis.  A draw spends one uniform per non-singleton
 node in preorder, two-leaf nodes included, so it equals the draw a
 one-node-at-a-time walk would make from the same generator.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -79,12 +78,6 @@ class DenseTrellis:
         self._map_child: np.ndarray | None = None
         self._counts: np.ndarray | None = None
         self._log_p: np.ndarray | None = None
-        # Split distributions for sampling, built on demand: vertex v's
-        # cumulative weights start at _split_cum[_split_at[v]] (-1: not built).
-        self._split_at: np.ndarray | None = None
-        self._split_cum = np.empty(0)
-        self._split_used = 0
-        self._split_lock = threading.Lock()
 
     # -- dynamic program ----------------------------------------------------
 
@@ -118,9 +111,9 @@ class DenseTrellis:
                 map_child[parents] = subs.reshape(-1, width)[rows, best]
                 ops += subs.size
         self.op_count = ops
-        self._log_z = log_z
         self._log_map = log_map
         self._map_child = map_child
+        self._log_z = log_z  # last: a set _log_z tells other threads every table is ready
 
     # -- queries -------------------------------------------------------------
 
@@ -203,57 +196,40 @@ class DenseTrellis:
 
     # -- posterior sampling ----------------------------------------------------
 
-    def _ensure_split_distributions(self, vertices: np.ndarray) -> None:
-        """Store the split distribution of every vertex not stored yet: the
-        cumulative weights psi * Z(left) * Z(right) over its splits in
-        pivot_splits_array order, scaled by the row maximum, at consecutive
-        places of one flat array."""
-        with self._split_lock:  # appends must not interleave across threads
-            if self._split_at is None:
-                self._split_at = np.full(self.ground.full + 1, -1, dtype=np.int64)
-            new = np.unique(vertices[self._split_at[vertices] < 0])
-            if not new.size:
-                return
-            pc = np.bitwise_count(new).astype(np.int64)
-            used = self._split_used
-            need = used + int(((1 << (pc - 1)) - 1).sum())
-            if need > self._split_cum.size:  # grow by doubling, so appends stay amortized O(1)
-                grown = np.empty(max(need, 2 * self._split_cum.size))
-                grown[:used] = self._split_cum[:used]
-                self._split_cum = grown
-            log_z = self._log_z
-            for parents, lefts, rights, width in _split_chunks(new[pc == k] for k in np.unique(pc)):
-                terms = self.model.log_psi_pairs(lefts, rights) + log_z[lefts] + log_z[rights]
-                terms = terms.reshape(-1, width)
-                self._split_cum[used : used + lefts.size] = np.cumsum(
-                    np.exp(terms - terms.max(axis=1, keepdims=True)), axis=1
-                ).ravel()
-                self._split_at[parents] = used + width * np.arange(parents.size)
-                used += lefts.size
-            self._split_used = used
-
     def _pick_lefts(self, vertices: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Left child drawn at each vertex from its uniform: split i where i
-        is min(searchsorted(cum, u * cum[-1], side="right"), width - 1),
-        found for all vertices at once by binary lifting over the store."""
-        at = self._split_at[vertices]
-        width = (1 << (np.bitwise_count(vertices).astype(np.int64) - 1)) - 1
-        cum = self._split_cum
-        target = u * cum[at + width - 1]
-        count = np.zeros_like(width)  # entries <= target, as searchsorted counts them
-        step = 1 << (int(width.max()).bit_length() - 1)
+        """Left child drawn at each vertex, all of one size, from its uniform:
+        split i where i is min(searchsorted(cum, u * cum[-1], side="right"),
+        width - 1) over the cumulative weights psi * Z(left) * Z(right) of
+        its splits in pivot_splits_array order, scaled by the row maximum.
+        Each distinct vertex gets one row, built in the fill's chunks, and
+        all vertices search their rows at once by binary lifting."""
+        distinct, row = np.unique(vertices, return_inverse=True)
+        width = (1 << (int(np.bitwise_count(distinct[0])) - 1)) - 1
+        cum = np.empty((distinct.size, width))
+        log_z, lo = self._log_z, 0
+        for parents, lefts, rights, _ in _split_chunks([distinct]):
+            terms = self.model.log_psi_pairs(lefts, rights) + log_z[lefts] + log_z[rights]
+            terms = terms.reshape(-1, width)
+            rows = slice(lo, lo + parents.size)
+            cum[rows] = np.cumsum(np.exp(terms - terms.max(axis=1, keepdims=True)), axis=1)
+            lo += parents.size
+        target = u * cum[row, -1]
+        count = np.zeros(row.size, dtype=np.int64)  # entries <= target, as searchsorted counts them
+        step = 1 << (width.bit_length() - 1)
         while step:
             probe = count + step
-            count += step * ((probe <= width) & (cum[at + np.minimum(probe, width) - 1] <= target))
+            count += step * ((probe <= width) & (cum[row, np.minimum(probe, width) - 1] <= target))
             step >>= 1
         return pivot_split_at(vertices, np.minimum(count, width - 1))
 
     def _draw_batch(self, count: int, rng: np.random.Generator) -> list[Hierarchy]:
-        """``count`` posterior draws walked down together, one tree level
-        per pass.  Draw d gives uniform u[d, p] to its p-th non-singleton
-        node in preorder, left subtree first: a node at p has its left
-        child at p + 1 and its right child at p + |left|, so every uniform
-        lands where successive one-at-a-time draws would spend it."""
+        """``count`` posterior draws walked down together, one cluster size
+        per pass from n down to 2: a node only comes from a larger parent,
+        so every node of size k is pending when pass k starts.  Draw d
+        gives uniform u[d, p] to its p-th non-singleton node in preorder,
+        left subtree first: a node at p has its left child at p + 1 and its
+        right child at p + |left|, so every uniform lands where successive
+        one-at-a-time draws would spend it."""
         n, full = self.ground.n, self.ground.full
         u = rng.random((count, n - 1))
         nodes = np.zeros((count, n - 1), dtype=np.int64)
@@ -261,17 +237,19 @@ class DenseTrellis:
         draw = np.arange(count if n > 1 else 0)
         pos = np.zeros(draw.size, dtype=np.int64)
         v = np.full(draw.size, full, dtype=np.int64)
-        while draw.size:
-            self._ensure_split_distributions(v)
-            left = self._pick_lefts(v, u[draw, pos])
-            nodes[draw, pos] = v
-            lefts[draw, pos] = left
+        for k in range(n, 1, -1):
+            now = np.bitwise_count(v) == k
+            if not now.any():
+                continue
+            d, p, w = draw[now], pos[now], v[now]
+            left = self._pick_lefts(w, u[d, p])
+            nodes[d, p] = w
+            lefts[d, p] = left
             size_l = np.bitwise_count(left).astype(np.int64)
-            go_l = size_l > 1
-            go_r = np.bitwise_count(v) - size_l > 1
-            draw = np.concatenate((draw[go_l], draw[go_r]))
-            pos = np.concatenate((pos[go_l] + 1, (pos + size_l)[go_r]))
-            v = np.concatenate((left[go_l], (v ^ left)[go_r]))
+            go_l, go_r, rest = size_l > 1, k - size_l > 1, ~now
+            draw = np.concatenate((draw[rest], d[go_l], d[go_r]))
+            pos = np.concatenate((pos[rest], p[go_l] + 1, (p + size_l)[go_r]))
+            v = np.concatenate((v[rest], left[go_l], (w ^ left)[go_r]))
         rights = nodes ^ lefts
         return [
             Hierarchy.from_canonical(full, dict(zip(vs, zip(ls, rs))))

@@ -388,8 +388,18 @@ class TestCliRefusals:
         ("dataset", {"schema": "fourvectors", "leaves": 5}, "E/px/py/pz objects"),
         ("trellis", [{"n": 2, "vertices": []}], "must hold a JSON object"),
         ("trellis", {"n": 2, "vertices": 5}, "bits/pairs objects"),
+        ("dataset", {"schema": "pairwise", "n": None}, "n must be an integer"),
+        ("dataset", {"schema": "pairwise", "n": 2, "labels": 5}, "labels must be a list"),
+        ("dataset", {"schema": "fourvectors", "leaves": [{"E": 1, "px": 0, "py": 0, "pz": 0}] * 2,
+                     "labels": 5}, "labels must be a list"),
+        ("tree", {"n": 2, "parents": 5, "clusters": ["3", "1", "2"]}, "lists of integers"),
+        ("trellis", {"n": None, "vertices": []}, "n must be an integer"),
+        ("trellis", {"n": 2, "vertices": [], "ordering": 5}, "mode/seed object"),
+        ("trellis", {"n": 2, "vertices": [], "ordering": [1]}, "mode/seed object"),
     ], ids=["tree_index_past_end", "tree_index_below_root", "dataset_list",
-            "dataset_weights_int", "dataset_leaves_int", "trellis_list", "trellis_vertices_int"])
+            "dataset_weights_int", "dataset_leaves_int", "trellis_list", "trellis_vertices_int",
+            "dataset_n_null", "dataset_labels_int", "fourvector_labels_int", "tree_parents_int",
+            "trellis_n_null", "trellis_ordering_int", "trellis_ordering_list"])
     def test_malformed_input_file_exits_2(self, tmp_path, capsys, kind, payload, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))

@@ -222,6 +222,23 @@ class TestMemoInvariants:
         for bits in range(1, 1 << 7):
             assert lm[bits] <= lz[bits]
 
+    def test_fill_publishes_log_z_last(self):
+        """A set _log_z is the "filled" test, so it must be assigned after
+        every table a reader of a filled trellis indexes."""
+        assigned = []
+
+        class Recording(DenseTrellis):
+            def __setattr__(self, name, value):
+                if value is not None:
+                    assigned.append(name)
+                super().__setattr__(name, value)
+
+        trellis = Recording(GroundSet(5), make_model("dasgupta", 5, seed=2))
+        assigned.clear()
+        trellis.log_partition()
+        assert assigned[-1] == "_log_z"
+        assert {"op_count", "_log_map", "_map_child"} <= set(assigned[:-1])
+
     def test_singleton_cells(self):
         model = make_model("dasgupta", 5, seed=2)
         trellis = DenseTrellis(GroundSet(5), model)
@@ -615,17 +632,19 @@ class TestSampling:
         self.assert_spent(rng, 8, 0)
 
     def test_threads_drawing_from_one_trellis(self):
-        """Threads sharing a trellis append to one split store; each must
-        still get the draws it would get alone."""
+        """Threads sharing a trellis read its filled tables and write nothing
+        to it; each must still get the draws it would get alone.  In the
+        first round the threads also race on the fill."""
         n, seeds = 10, range(8)
         model = make_model("ginkgo", n, seed=2)
         expected = [DenseTrellis(GroundSet(n), model).sample_many(100, seed=s) for s in seeds]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(3):
+            for round_ in range(3):
                 shared = DenseTrellis(GroundSet(n), model)
-                shared.log_partition()
+                if round_:
+                    shared.log_partition()
                 results = {}
 
                 def work(s):
@@ -643,8 +662,8 @@ class TestSampling:
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_each_distribution_is_built_once(self, kind):
-        """Sampling evaluates psi for exactly the splits of the distinct
-        non-singleton nodes it visits, each node once."""
+        """Each sample_many call evaluates psi for exactly the splits of the
+        distinct non-singleton nodes it visits, each node once."""
         n = 10
         trellis = DenseTrellis(GroundSet(n), make_model(kind, n, seed=4))
         trellis.log_partition()
@@ -656,10 +675,21 @@ class TestSampling:
             return psi_pairs(lefts, rights)
 
         trellis.model.log_psi_pairs = counting
-        visited = set()
         for count, seed in ((300, 1), (300, 1), (700, 2)):
-            visited.update(v for h in trellis.sample_many(count, seed) for v in h.children)
+            terms.clear()
+            visited = {v for h in trellis.sample_many(count, seed) for v in h.children}
             assert sum(terms) == sum((1 << (popcount(v) - 1)) - 1 for v in visited)
+
+    def test_sampling_leaves_no_state(self):
+        """Draws only read the filled trellis, so sharing it needs no lock."""
+        trellis = DenseTrellis(GroundSet(9), make_model("ginkgo", 9, seed=4))
+        trellis.log_partition()
+        before = dict(vars(trellis))
+        trellis.sample_many(300, seed=1)
+        trellis.sample(np.random.default_rng(2))
+        after = vars(trellis)
+        assert after.keys() == before.keys()
+        assert all(after[key] is value for key, value in before.items())
 
     def test_samples_are_valid(self):
         model = make_model("correlation", 5, seed=17)
