@@ -12,19 +12,19 @@ Each level of the beam is one pass over parallel arrays.  The S kept
 states are an ``S x k`` ``uint64`` array of clusters, ordered by lowest
 leaf, plus a score vector.  The ``C = k(k-1)/2`` merges ``(i, j)`` come
 from ``np.triu_indices`` in the nested-loop order, so candidate
-``s * C + c`` is the c-th merge of state s.  Every psi value comes from
-scalar ``model.log_psi`` through one pair cache.  A level's pairs are
-deduplicated before that cache is probed: each cluster is replaced by its
-rank among the level's distinct clusters, so a pair key ``lo * d + hi``
-over d ranks is exact for every ground set up to ``BITSET_MAX_LEAVES``
-leaves.
+``s * C + c`` is the c-th merge of state s.  A level's psi values come
+from ``model.log_psi_pairs`` on the cluster values themselves, each pair
+given smaller cluster first as scalar ``model.log_psi`` orders it, so
+they equal the scalar values bit for bit.  Clusters stay ``uint64``: leaf
+63 sets bit 63.
 
 A depth-1 lookahead needs no rollout: the best merge after (i, j) either
 avoids both clusters, and is then the state's best pair avoiding i and j,
 or joins the merged cluster to one of the other k-2.  The best avoiding
 pair is among the state's top ``2k-2`` pair scores, since only ``2k-3``
 pairs touch i or j.  A max over floats is exact, so the bonus equals the
-greedy rollout's.  Deeper lookaheads still run that rollout per candidate.
+greedy rollout's.  Deeper lookaheads still run that rollout per candidate,
+scored by scalar ``model.log_psi`` through a pair cache.
 
 Candidates rank by ``(-(score + bonus), partition)`` in one stable
 ``np.lexsort``, so full ties keep the expansion order.  The dedup walk
@@ -46,7 +46,7 @@ from .models import PotentialModel
 
 SCORE_TIE_TOL = 1e-12
 # Join pairs (merged cluster, other cluster) are scored about this many at a
-# time, which caps the dedup's temporaries; every other per-level array holds
+# time, which caps the join's temporaries; every other per-level array holds
 # at most S * C * k words.
 JOIN_CHUNK_PAIRS = 1 << 15
 
@@ -128,15 +128,10 @@ def beam_search_forest(
             cache[key] = val
         return val
 
-    def psi_array(ra: np.ndarray, rb: np.ndarray, clusters: np.ndarray) -> np.ndarray:
-        # psi of every broadcast pair of ranks into the sorted array `clusters`;
-        # each distinct pair is looked up once
-        d = len(clusters)
-        pair_keys = np.minimum(ra, rb) * d + np.maximum(ra, rb)
-        uniq, inv = np.unique(pair_keys.ravel(), return_inverse=True)
-        lo, hi = clusters[uniq // d].tolist(), clusters[uniq % d].tolist()
-        vals = np.array([psi(x, y) for x, y in zip(lo, hi)])
-        return vals[inv].reshape(pair_keys.shape)
+    def psi_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # psi of every broadcast pair of uint64 clusters, smaller cluster first
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        return model.log_psi_pairs(lo.ravel(), hi.ravel()).reshape(lo.shape)
 
     states = [BeamState(tuple(1 << i for i in range(n)))]
     parts = np.array([states[0].partition], dtype=np.uint64)
@@ -147,9 +142,7 @@ def beam_search_forest(
         C = len(I)
         lefts, rights = parts[:, I], parts[:, J]
         merged = lefts | rights
-        clusters, ranks = np.unique(np.concatenate([parts, merged], axis=1), return_inverse=True)
-        ranks = ranks.reshape(S, k + C)
-        pair_vals = psi_array(ranks[:, I], ranks[:, J], clusters)
+        pair_vals = psi_pairs(lefts, rights)
         cols = np.arange(k)
         if lookahead == 1 and k > 2:
             # best psi of the merged cluster against each cluster but i and j
@@ -157,8 +150,8 @@ def beam_search_forest(
             rest = rest.reshape(C, k - 2)
             step = max(1, JOIN_CHUNK_PAIRS // (C * (k - 2)))
             best_join = np.concatenate([
-                psi_array(r[:, k:, None], r[:, rest], clusters).max(axis=2)
-                for r in (ranks[a : a + step] for a in range(0, S, step))
+                psi_pairs(merged[a : a + step, :, None], parts[a : a + step, rest]).max(axis=2)
+                for a in range(0, S, step)
             ])
             # best pair avoiding i and j: the first such pair among the top 2k-2
             top = np.argsort(-pair_vals, axis=1)[:, : min(C, 2 * k - 2)]

@@ -171,7 +171,8 @@ class _ClusterTable:
     def get_many(self, arr: np.ndarray) -> np.ndarray:
         if self._table is not None:
             return self._table[arr]
-        return np.array([self.get(int(b)) for b in arr])
+        uniq, inv = np.unique(arr, return_inverse=True)
+        return np.array([self.get(b) for b in uniq.tolist()])[inv]
 
 
 class _SubsetPairSums(_ClusterTable):

@@ -164,6 +164,23 @@ def counting_psi(model):
     return calls
 
 
+def recording_psi(model):
+    """Record the pairs model.log_psi and model.log_psi_pairs are given."""
+    scalar, batched = [], []
+    raw, raw_pairs = model.log_psi, model.log_psi_pairs
+
+    def log_psi(left, right):
+        scalar.append((left, right))
+        return raw(left, right)
+
+    def log_psi_pairs(lefts, rights):
+        batched.extend(zip(lefts.tolist(), rights.tolist()))
+        return raw_pairs(lefts, rights)
+
+    model.log_psi, model.log_psi_pairs = log_psi, log_psi_pairs
+    return scalar, batched
+
+
 def assert_same_forest(model, beam_width=None, lookahead=1):
     expected = reference_beam_search_forest(model, beam_width, lookahead)
     got = beam_search_forest(model, beam_width, lookahead)
@@ -336,16 +353,35 @@ class TestBeamMatchesReference:
 
     @pytest.mark.parametrize("lookahead", [0, 1, 2])
     def test_same_psi_calls(self, lookahead):
-        model = make_model("ginkgo", 9, seed=3)
-        calls = counting_psi(model)
-        reference_beam_search_forest(model, lookahead=lookahead)
-        expected, calls[0] = calls[0], 0
-        beam_search_forest(model, lookahead=lookahead)
-        assert calls[0] == expected > 0
+        if lookahead > 1:
+            # the greedy rollout scores through the scalar pair cache
+            model = make_model("ginkgo", 9, seed=3)
+            calls = counting_psi(model)
+            reference_beam_search_forest(model, lookahead=lookahead)
+            expected, calls[0] = calls[0], 0
+            beam_search_forest(model, lookahead=lookahead)
+            assert calls[0] == expected > 0
+            return
+        # levels score every pair in batches, smaller cluster first, and
+        # cover exactly the pairs the reference scores one at a time
+        for kind in MODEL_KINDS:
+            model = make_model(kind, 9, seed=3)
+            scalar, batched = recording_psi(model)
+            reference_beam_search_forest(model, lookahead=lookahead)
+            expected = {tuple(sorted(pair)) for pair in scalar}
+            scalar.clear()
+            beam_search_forest(model, lookahead=lookahead)
+            assert scalar == []
+            assert all(left < right for left, right in batched)
+            assert set(batched) == expected
 
     def test_clusters_past_32_bits(self):
-        # pair keys over 40 leaves need all 64 bits of a cluster
+        # clusters over 40 leaves need more than 32 bits
         assert_same_forest(make_model("dasgupta", 40, seed=2), beam_width=3)
+
+    def test_leaf_63(self):
+        # leaf 63 sets the sign bit of an int64, so clusters stay uint64
+        assert_same_forest(make_model("dasgupta", 64, seed=2), beam_width=2, lookahead=0)
 
 
 class TestBeamState:

@@ -21,7 +21,7 @@ from hctrellis import (
     log_hierarchy_potential,
     log_splitting_density,
 )
-from hctrellis.core import pivot_splits, full_mask
+from hctrellis.core import pivot_splits, pivot_splits_array, full_mask
 from hctrellis.models import TABLE_MAX_LEAVES, _mass2, _SubsetMass2, _SubsetPairSums
 
 from conftest import MODEL_KINDS, exact_leaf_jet, make_model
@@ -199,6 +199,24 @@ class TestGinkgoModel:
             assert model.log_psi(int(l), int(r)) == pytest.approx(float(v), abs=1e-12)
 
 
+class TestPsiEntryPoints:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_scalar_and_batched_agree_bitwise(self, kind):
+        # every split of every cluster at n = 10, smaller cluster first
+        n = 10
+        parents = np.arange(1, 1 << n, dtype=np.int64)
+        sizes = np.bitwise_count(parents)
+        for seed in range(5):
+            model = make_model(kind, n, seed)
+            for k in range(2, n + 1):
+                lefts = pivot_splits_array(parents[sizes == k])
+                rights = np.repeat(parents[sizes == k], (1 << (k - 1)) - 1) ^ lefts
+                lo, hi = np.minimum(lefts, rights), np.maximum(lefts, rights)
+                batched = model.log_psi_pairs(lo, hi).tolist()
+                scalar = [model.log_psi(l, r) for l, r in zip(lo.tolist(), hi.tolist())]
+                assert [v.hex() for v in batched] == [v.hex() for v in scalar]
+
+
 class TestSymmetry:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_exact_symmetry_all_pairs(self, kind):
@@ -257,6 +275,31 @@ class TestPairSumBackends:
                 assert memo.get(bits) == table.get(bits)
             assert len(memo._memo) == 1 << n
             assert all(type(v) is float for v in memo._memo.values())
+
+    def test_memo_evaluates_each_distinct_cluster_once(self):
+        n = TABLE_MAX_LEAVES + 2
+        payloads = _signed_payloads(n, 7)
+        table = _SubsetMass2(payloads)
+        assert table._table is None
+        clusters = _clusters(n, 11)
+        arr = np.array(clusters[::2] + clusters + clusters[::3], dtype=np.uint64)
+        calls = {"get": 0, "value": 0}
+        raw_get, raw_value = table.get, table._value
+
+        def get(bits):
+            calls["get"] += 1
+            return raw_get(bits)
+
+        def value(bits):
+            calls["value"] += 1
+            return raw_value(bits)
+
+        table.get, table._value = get, value
+        got = table.get_many(arr)
+        assert calls == {"get": len(clusters), "value": len(clusters)}
+        fresh = _SubsetMass2(payloads)
+        expected = [fresh.get(b) for b in arr.tolist()]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
 
     def test_large_ground_set_skips_table(self):
         n = TABLE_MAX_LEAVES + 1
