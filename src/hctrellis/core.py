@@ -79,6 +79,8 @@ def lowest_leaf(bits: int) -> int:
 
 
 def leaf_indices(bits: int) -> list[int]:
+    if bits < 0:  # bits & -bits would find a higher bit forever
+        raise ValueError("cluster bits must be nonnegative")
     out = []
     while bits:
         low = bits & -bits
@@ -136,9 +138,11 @@ def pivot_splits_array(parent: np.ndarray) -> np.ndarray:
 
     Given an int64 array of parents that all hold the same number k >= 2 of
     leaves, returns every parent's 2**(k-1) - 1 left children in one flat
-    int64 array, parent by parent, ascending within each parent.  The block
-    is built by doubling across the batch, one leaf at a time from the
-    lowest.
+    int64 array, parent by parent, ascending within each parent, so its
+    reshape to (parents, 2**(k-1) - 1) is a view.  The block is built split
+    by split, so each doubling (one leaf at a time from the lowest) writes
+    whole rows, and transposed once at the end; the last doubling stops one
+    short of the entry that would rebuild the parent.
     """
     k = int(np.bitwise_count(parent[0]))
     if np.any(np.bitwise_count(parent) != k):
@@ -147,15 +151,17 @@ def pivot_splits_array(parent: np.ndarray) -> np.ndarray:
         raise ValueError("cannot split a singleton cluster")
     pivot = parent & -parent
     rest = parent ^ pivot
-    block = np.empty((parent.size, 1 << (k - 1)), dtype=np.int64)
-    block[:, 0] = pivot
+    width = (1 << (k - 1)) - 1
+    block = np.empty((width, parent.size), dtype=np.int64)
+    block[0] = pivot
     size = 1
     for _ in range(k - 1):
         low = rest & -rest
         rest = rest ^ low
-        np.bitwise_or(block[:, :size], low[:, None], out=block[:, size : size << 1])
+        end = min(size << 1, width)
+        np.bitwise_or(block[: end - size], low, out=block[size:end])
         size <<= 1
-    return block[:, :-1].ravel()  # each row's last entry would rebuild its parent
+    return block.T.ravel()
 
 
 def pivot_split_at(parents: np.ndarray, index: np.ndarray) -> np.ndarray:

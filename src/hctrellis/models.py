@@ -4,6 +4,14 @@ A model maps an ordered pair of disjoint sibling clusters to log psi.  All
 models here are symmetric in their two arguments and pure functions of the
 payloads bound at construction, so evaluations can be cached freely.
 
+The batched entry point, ``log_psi_pairs(lefts, rights)``, takes two
+arrays of one shape and returns log psi in that shape.  Each row of a 2-D
+input splits one parent, ``lefts[:, 0] | rights[:, 0]``, so a model reads
+that parent's terms once per row; the dense trellis hands it one row per
+parent.  A 1-D input is read as one pair per row, and a higher-dimensional
+one as rows along its last axis.  Every pair scores the same bits whatever
+block it arrives in.
+
 Scoring flavours:
 
 * ``DasguptaModel``:    log psi = -beta * (|L|+|R|) * cross-cut weight.
@@ -170,9 +178,9 @@ class _ClusterTable:
 
     def get_many(self, arr: np.ndarray) -> np.ndarray:
         if self._table is not None:
-            return self._table[arr]
+            return self._table.take(arr)
         uniq, inv = np.unique(arr, return_inverse=True)
-        return np.array([self.get(b) for b in uniq.tolist()])[inv]
+        return np.array([self.get(b) for b in uniq.tolist()])[inv].reshape(np.shape(arr))
 
 
 class _SubsetPairSums(_ClusterTable):
@@ -267,8 +275,24 @@ class _SubsetMass2(_ClusterTable):
 # models
 
 
+def _split_rows(lefts, rights):
+    """``(parents, lefts, rights, shape)``: the pairs as 2-D rows that each
+    split one parent, that parent as a column, and the shape to give the
+    result.  A 1-D input is one pair per row."""
+    shape = np.shape(lefts)
+    width = shape[-1] if len(shape) > 1 else 1
+    lefts, rights = np.reshape(lefts, (-1, width)), np.reshape(rights, (-1, width))
+    return lefts[:, :1] | rights[:, :1], lefts, rights, shape
+
+
 class PotentialModel:
-    """Base contract: symmetric, pure log psi over disjoint cluster pairs."""
+    """Base contract: symmetric, pure log psi over disjoint cluster pairs.
+
+    ``log_psi_pairs`` scores trusted disjoint pairs given as two arrays of
+    one shape and returns that shape; the pairs of one row of a 2-D input
+    split one parent.  Subclasses need only ``_log_psi``: the default batch
+    scores pair by pair.
+    """
 
     kind = "abstract"
     n: int
@@ -286,9 +310,9 @@ class PotentialModel:
 
     def log_psi_pairs(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
         """Vectorized psi for trusted disjoint pairs (no per-pair checks)."""
-        return np.array(
-            [self._log_psi(*sorted((int(l), int(r)))) for l, r in zip(lefts, rights)]
-        )
+        pairs = zip(np.ravel(lefts).tolist(), np.ravel(rights).tolist())
+        flat = [self._log_psi(*sorted(pair)) for pair in pairs]
+        return np.array(flat, dtype=np.float64).reshape(np.shape(lefts))
 
     def prime(self, clusters) -> None:
         """Precompute the per-cluster aggregates psi reads for ``clusters``
@@ -312,7 +336,7 @@ class ConstantModel(PotentialModel):
         return 0.0
 
     def log_psi_pairs(self, lefts, rights) -> np.ndarray:
-        return np.zeros(len(lefts))
+        return np.zeros(np.shape(lefts))
 
 
 class DasguptaModel(PotentialModel):
@@ -336,13 +360,11 @@ class DasguptaModel(PotentialModel):
         return (-self.beta * popcount(parent)) * cut
 
     def log_psi_pairs(self, lefts, rights) -> np.ndarray:
-        parents = lefts | rights
-        cut = (
-            self._sums.get_many(parents)
-            - self._sums.get_many(lefts)
-            - self._sums.get_many(rights)
-        )
-        return (-self.beta * popcounts(parents)) * cut
+        parents, lefts, rights, shape = _split_rows(lefts, rights)
+        cut = self._sums.get_many(parents) - self._sums.get_many(lefts)
+        cut -= self._sums.get_many(rights)
+        cut *= -self.beta * popcounts(parents)
+        return cut.reshape(shape)
 
 
 class CorrelationModel(PotentialModel):
@@ -365,27 +387,31 @@ class CorrelationModel(PotentialModel):
         self.n = weights.n
         w = weights.w
         self._pos = _SubsetPairSums(np.where(w > 0, w, 0.0))
-        self._neg = _SubsetPairSums(np.where(w < 0, w, 0.0))
+        # twice the negative sums: doubling every weight doubles every
+        # partial sum exactly, so this is 2.0 * the sums, bit for bit
+        self._neg2 = _SubsetPairSums(np.where(w < 0, 2.0 * w, 0.0))
 
     def _log_psi(self, left: int, right: int) -> float:
         parent = left | right
         cross_pos = self._pos.get(parent) - self._pos.get(left) - self._pos.get(right)
-        energy = cross_pos - 2.0 * self._neg.get(left) - 2.0 * self._neg.get(right)
+        energy = cross_pos - self._neg2.get(left) - self._neg2.get(right)
         return (-self.beta) * energy
 
     def log_psi_pairs(self, lefts, rights) -> np.ndarray:
-        parents = lefts | rights
-        cross_pos = (
-            self._pos.get_many(parents)
-            - self._pos.get_many(lefts)
-            - self._pos.get_many(rights)
-        )
-        energy = (
-            cross_pos
-            - 2.0 * self._neg.get_many(lefts)
-            - 2.0 * self._neg.get_many(rights)
-        )
-        return (-self.beta) * energy
+        parents, lefts, rights, shape = _split_rows(lefts, rights)
+        energy = self._pos.get_many(parents) - self._pos.get_many(lefts)
+        energy -= self._pos.get_many(rights)
+        energy -= self._neg2.get_many(lefts)
+        energy -= self._neg2.get_many(rights)
+        energy *= -self.beta
+        return energy.reshape(shape)
+
+
+def _child_masses(t: np.ndarray) -> np.ndarray:
+    """Squared masses as a child's density reads them: rounding debris in
+    [-KINEMATIC_TOL, 0) is 0.0, anything further below is +inf, which no
+    parent's squared mass exceeds, so the split scores zero."""
+    return np.where(t < -KINEMATIC_TOL, np.inf, np.where(t < 0, 0.0, t))
 
 
 class GinkgoModel(PotentialModel):
@@ -415,6 +441,8 @@ class GinkgoModel(PotentialModel):
         self.n = arr.shape[0]
         self.payloads = arr
         self._t = _SubsetMass2(arr)
+        table = self._t._table
+        self._child_t = None if table is None else _child_masses(table)
         self._log_norm = math.log(lam) - math.log1p(-math.exp(-lam))
 
     def prime(self, clusters) -> None:
@@ -437,19 +465,31 @@ class GinkgoModel(PotentialModel):
         dr = self._density(self._t.get(right), t_parent)
         return dl + dr
 
+    def _child_masses_of(self, clusters: np.ndarray) -> np.ndarray:
+        if self._child_t is not None:
+            return self._child_t.take(clusters)
+        return _child_masses(self._t.get_many(clusters))
+
     def log_psi_pairs(self, lefts, rights) -> np.ndarray:
-        t_parent = self._t.get_many(lefts | rights)
-        tl = self._t.get_many(lefts)
-        tr = self._t.get_many(rights)
-        tl = np.where((tl < 0) & (tl >= -KINEMATIC_TOL), 0.0, tl)
-        tr = np.where((tr < 0) & (tr >= -KINEMATIC_TOL), 0.0, tr)
-        valid = (t_parent > 0) & (tl >= 0) & (tl < t_parent) & (tr >= 0) & (tr < t_parent)
+        parents, lefts, rights, shape = _split_rows(lefts, rights)
+        t_parent = self._t.get_many(parents)
+        tl = self._child_masses_of(lefts)
+        tr = self._child_masses_of(rights)
         with np.errstate(all="ignore"):
-            log_tp = np.log(t_parent)
-            dl = self._log_norm - log_tp - self.lam * (tl / t_parent)
-            dr = self._log_norm - log_tp - self.lam * (tr / t_parent)
-            out = dl + dr
-        return np.where(valid, out, LOG_ZERO)
+            # per parent: the densities' shared term, and the bound both
+            # child masses must stay below (-inf where t(P) <= 0)
+            base = self._log_norm - np.log(t_parent)
+            bound = np.where(t_parent > 0, t_parent, -np.inf)
+            invalid = ~(np.maximum(tl, tr) < bound)  # so is a +inf child mass
+            # per child: _density's operations in its order (products commute)
+            tl /= t_parent
+            tl *= self.lam
+            tr /= t_parent
+            tr *= self.lam
+            out = np.subtract(base, tl, out=tl)
+            out += np.subtract(base, tr, out=tr)
+        out[invalid] = LOG_ZERO
+        return out.reshape(shape)
 
 
 def log_hierarchy_potential(h: Hierarchy, model: PotentialModel) -> float:

@@ -2,12 +2,14 @@
 
 The trellis memoizes one cell per nonempty cluster, filled bottom-up one
 popcount level at a time.  Every cell only reads strictly smaller clusters,
-so a whole level is filled in chunks of parents: one block of splits, one
-psi call and one row-wise reduction per chunk.  The same single pass
-produces both the summed (partition function) and maxed (MAP) recursions
-plus MAP backpointers; the split-term counter therefore advances exactly
-once per evaluated split.  Tree counts run over the same chunks through
-``core.tree_counts``, the count kernel the sparse engine shares.
+so a whole level is filled in chunks of parents.  A chunk is one 2-D block
+of splits, a row per parent: one psi call on the block, which reads each
+parent's own terms once per row, and one row-wise reduction.  The same
+single pass produces both the summed (partition function) and maxed (MAP)
+recursions plus MAP backpointers; the split-term counter therefore
+advances exactly once per evaluated split.  Tree counts run over the same
+chunks, flattened, through ``core.tree_counts``, the count kernel the
+sparse engine shares.
 
 Cluster marginals come from one outside pass over the same chunks, levels
 top-down: each split hands its share of the parent's probability to both
@@ -49,17 +51,26 @@ SAMPLE_CHUNK_DRAWS = 1 << 14
 
 
 def _split_chunks(levels):
-    """Yield (parents, lefts, rights, width) for every split of every parent
-    in ``levels``, an iterable of arrays of parents that share a popcount,
-    in chunks of ~FILL_CHUNK_TERMS split terms; each parent owns ``width``
-    consecutive splits, lefts ascending."""
+    """Yield (parents, lefts, rights) for every split of every parent in
+    ``levels``, an iterable of arrays of parents that share a popcount, in
+    chunks of ~FILL_CHUNK_TERMS split terms.  ``lefts`` and ``rights`` are
+    (parents, splits per parent) blocks, row i splitting parents[i], lefts
+    ascending along the row."""
     for level in levels:
         width = (1 << (int(np.bitwise_count(level[0])) - 1)) - 1  # splits per parent
         step = max(1, FILL_CHUNK_TERMS // width)
         for lo in range(0, level.size, step):
             parents = level[lo : lo + step]
-            lefts = pivot_splits_array(parents)
-            yield parents, lefts, np.repeat(parents, width) ^ lefts, width
+            lefts = pivot_splits_array(parents).reshape(parents.size, width)
+            yield parents, lefts, parents[:, None] ^ lefts
+
+
+def _pair_sums(lp: np.ndarray, table: np.ndarray, lefts, rights) -> np.ndarray:
+    """lp + table[lefts] + table[rights], added in that order, in a new array."""
+    out = table.take(lefts)
+    out += lp  # addition commutes bit for bit, so this is lp + table[lefts]
+    out += table.take(rights)
+    return out
 
 
 class DenseTrellis:
@@ -82,7 +93,7 @@ class DenseTrellis:
     # -- dynamic program ----------------------------------------------------
 
     def _level_chunks(self, sizes=None):
-        """Yield (parents, lefts, rights, width) for every split, one popcount
+        """Yield (parents, lefts, rights) blocks for every split, one popcount
         level at a time, bottom-up unless ``sizes`` gives their order."""
         n = self.ground.n
         pc = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
@@ -98,17 +109,18 @@ class DenseTrellis:
         map_child = np.zeros(size, dtype=np.int64)
         ops = 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            for parents, subs, comps, width in self._level_chunks():
+            for parents, subs, comps in self._level_chunks():
                 lp = self.model.log_psi_pairs(subs, comps)
-                z_terms = (lp + log_z[subs] + log_z[comps]).reshape(-1, width)
-                m_terms = (lp + log_map[subs] + log_map[comps]).reshape(-1, width)
+                z_terms = _pair_sums(lp, log_z, subs, comps)
+                m_terms = _pair_sums(lp, log_map, subs, comps)
                 top = z_terms.max(axis=1)
                 shift = np.where(top == LOG_ZERO, 0.0, top)  # all-zero rows stay -inf
-                log_z[parents] = shift + np.log(np.exp(z_terms - shift[:, None]).sum(axis=1))
+                z_terms -= shift[:, None]
+                log_z[parents] = shift + np.log(np.exp(z_terms, out=z_terms).sum(axis=1))
                 best = np.argmax(m_terms, axis=1)  # first max = smallest bits
                 rows = np.arange(parents.size)
                 log_map[parents] = m_terms[rows, best]
-                map_child[parents] = subs.reshape(-1, width)[rows, best]
+                map_child[parents] = subs[rows, best]
                 ops += subs.size
         self.op_count = ops
         self._log_map = log_map
@@ -168,12 +180,12 @@ class DenseTrellis:
         log_p = np.full(full + 1, LOG_ZERO)
         log_p[full] = 0.0
         with np.errstate(invalid="ignore"):
-            for parents, lefts, rights, width in self._level_chunks(range(n, 1, -1)):
+            for parents, lefts, rights in self._level_chunks(range(n, 1, -1)):
                 above = log_p[parents]  # final: every superset has handed down its share
                 # P(P) is -inf wherever Z(P) is, and -inf - -inf would be NaN
                 up = np.where(above == LOG_ZERO, LOG_ZERO, above - log_z[parents])
-                t = self.model.log_psi_pairs(lefts, rights) + log_z[lefts] + log_z[rights]
-                t += np.repeat(up, width)
+                t = _pair_sums(self.model.log_psi_pairs(lefts, rights), log_z, lefts, rights)
+                t += up[:, None]
                 np.logaddexp.at(log_p, lefts, t)
                 np.logaddexp.at(log_p, rights, t)
         log_p[1 << np.arange(n)] = 0.0
@@ -207,11 +219,10 @@ class DenseTrellis:
         width = (1 << (int(np.bitwise_count(distinct[0])) - 1)) - 1
         cum = np.empty((distinct.size, width))
         log_z, lo = self._log_z, 0
-        for parents, lefts, rights, _ in _split_chunks([distinct]):
-            terms = self.model.log_psi_pairs(lefts, rights) + log_z[lefts] + log_z[rights]
-            terms = terms.reshape(-1, width)
-            rows = slice(lo, lo + parents.size)
-            cum[rows] = np.cumsum(np.exp(terms - terms.max(axis=1, keepdims=True)), axis=1)
+        for parents, lefts, rights in _split_chunks([distinct]):
+            terms = _pair_sums(self.model.log_psi_pairs(lefts, rights), log_z, lefts, rights)
+            terms -= terms.max(axis=1, keepdims=True)
+            np.cumsum(np.exp(terms, out=terms), axis=1, out=cum[lo : lo + parents.size])
             lo += parents.size
         target = u * cum[row, -1]
         count = np.zeros(row.size, dtype=np.int64)  # entries <= target, as searchsorted counts them
@@ -283,7 +294,10 @@ class DenseTrellis:
         """Number of hierarchies the trellis realizes: (2n-3)!! when dense."""
         if self._counts is None:
             n = self.ground.n
-            levels = ((p, l, r, np.arange(0, l.size, w)) for p, l, r, w in self._level_chunks())
+            levels = (
+                (p, l.ravel(), r.ravel(), np.arange(0, l.size, l.shape[1]))
+                for p, l, r in self._level_chunks()
+            )
             self._counts = tree_counts(n, 1 << n, 1 << np.arange(n), levels)
         return int(self._counts[self.ground.full])
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
+
 from hctrellis import (
     ConstantModel,
     CorrelationModel,
@@ -11,6 +13,7 @@ from hctrellis import (
     FourVector,
     GinkgoModel,
     Hierarchy,
+    PotentialModel,
 )
 from hctrellis.datasets import random_affinity_weights, random_similarity_weights
 from hctrellis.jetgen import JetConfig, generate_jet
@@ -35,6 +38,19 @@ def make_model(kind: str, n: int, seed):
     raise ValueError(kind)
 
 
+class ScalarOnlyModel(PotentialModel):
+    """Another model's scalar psi alone, batched by the base class."""
+
+    kind = "scalar-only"
+
+    def __init__(self, inner):
+        self.n = inner.n
+        self.inner = inner
+
+    def _log_psi(self, left, right):
+        return self.inner._log_psi(left, right)
+
+
 def exact_leaf_jet(n: int, seed, lam: float = 1.5):
     base = seed if isinstance(seed, tuple) else (seed,)
     # a softer cutoff makes 2-3 leaf jets common instead of one-in-a-thousand;
@@ -47,11 +63,15 @@ def exact_leaf_jet(n: int, seed, lam: float = 1.5):
 
 
 def output_digest(*items) -> str:
-    """Hash of hierarchies (root and sorted splits) and floats (exact bits)."""
+    """Hash of hierarchies (root and sorted splits), arrays (dtype and raw
+    bytes) and floats (exact bits)."""
     h = hashlib.sha256()
     for item in items:
         if isinstance(item, Hierarchy):
             h.update(repr((item.root, sorted(item.children.items()))).encode())
+        elif isinstance(item, np.ndarray):
+            h.update(item.dtype.str.encode())
+            h.update(np.ascontiguousarray(item).tobytes())
         else:
             h.update(float(item).hex().encode())
     return h.hexdigest()[:16]

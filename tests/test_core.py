@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -282,6 +285,35 @@ class TestBitHelpers:
 
     def test_lowest_leaf(self):
         assert lowest_leaf(0b10100) == 2
+
+    def test_leaf_indices_of_leaf_63(self):
+        assert leaf_indices(1 << 63 | 1 << 2) == [2, 63]
+
+    def test_negative_cluster_raises(self):
+        # Before the guard these calls never returned, so they run in a
+        # child process that a timeout can stop.  An int64 cluster array
+        # with leaf 63 set reaches leaf_indices through the memo of a model
+        # past the table cap.
+        code = "\n".join([
+            "import numpy as np",
+            "from hctrellis.core import leaf_indices",
+            "from hctrellis.models import DasguptaModel, PairwiseWeights",
+            "for call in (",
+            "    lambda: leaf_indices(-5),",
+            "    lambda: DasguptaModel(PairwiseWeights(np.zeros((64, 64))))",
+            "    .log_psi_pairs(np.array([[1, 1 << 62]]), np.array([[-1 << 63, 2]])),",
+            "):",
+            "    try:",
+            "        call()",
+            "    except ValueError as exc:",
+            "        print(exc)",
+        ])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count("negative") == 2, done.stdout
 
     def test_lowest_leaf_empty(self):
         with pytest.raises(ValueError):

@@ -22,9 +22,16 @@ from hctrellis import (
     log_splitting_density,
 )
 from hctrellis.core import pivot_splits, pivot_splits_array, full_mask
-from hctrellis.models import TABLE_MAX_LEAVES, _mass2, _SubsetMass2, _SubsetPairSums
+from hctrellis.datasets import random_affinity_weights, random_similarity_weights
+from hctrellis.models import (
+    KINEMATIC_TOL,
+    TABLE_MAX_LEAVES,
+    _mass2,
+    _SubsetMass2,
+    _SubsetPairSums,
+)
 
-from conftest import MODEL_KINDS, exact_leaf_jet, make_model
+from conftest import MODEL_KINDS, ScalarOnlyModel, exact_leaf_jet, make_model
 
 A, B, C, D = 1, 2, 4, 8
 
@@ -217,6 +224,126 @@ class TestPsiEntryPoints:
                 assert [v.hex() for v in batched] == [v.hex() for v in scalar]
 
 
+def split_blocks(parents):
+    """Every split of each int64 parent, one row per parent: (lefts, rights)."""
+    lefts = pivot_splits_array(parents).reshape(parents.size, -1)
+    return lefts, parents[:, None] ^ lefts
+
+
+def random_ginkgo(n, seed):
+    """A Ginkgo model over n random massive leaves, no jet generator needed."""
+    rng = np.random.default_rng(seed)
+    p = rng.normal(0.0, 1.0, size=(n, 3))
+    e = np.sqrt(rng.uniform(1.0, 4.0, size=n) + (p * p).sum(axis=1))
+    return GinkgoModel(np.column_stack([e, p]), lam=1.5)
+
+
+def assert_same_bits(got, expected):
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()  # -inf and the sign of zero too
+
+
+def edge_jet_model():
+    """Seven leaves: 0 and 1 with squared masses in [-tol, 0), 2 and 3
+    massless and collinear (their sum has zero mass), 4 far below -tol,
+    5 and 6 massive."""
+    leaves = [
+        (1.0, 0.0, 0.0, math.sqrt(1 + 4e-10)),
+        (1.5, math.sqrt(2.25 + 6e-10), 0.0, 0.0),
+        (1.0, 0.0, 0.0, 1.0),
+        (2.0, 0.0, 0.0, 2.0),
+        (1.0, 0.0, 1.001, 0.0),
+        (5.0, 1.0, 0.0, 0.0),
+        (4.0, 0.0, -1.0, 0.5),
+    ]
+    model = GinkgoModel(leaves, lam=1.5)
+    t = [model._t.get(1 << i) for i in range(7)]
+    assert all(-KINEMATIC_TOL <= t[i] < 0 for i in (0, 1))
+    assert t[2] == t[3] == model._t.get(0b1100) == 0.0 and t[4] < -KINEMATIC_TOL
+    return model
+
+
+class TestPsiBlocks:
+    """A 2-D block of splits, one parent per row, scores exactly as the
+    same pairs given flat."""
+
+    @staticmethod
+    def sparse_dasgupta(n):
+        """Weights zero outside leaves 0, 3, 6: zero cuts score -0.0."""
+        w = random_similarity_weights(n, 6).w * (np.arange(n) % 3 == 0)
+        return DasguptaModel(PairwiseWeights(np.minimum(w, w.T)))
+
+    def models(self):
+        n = 9
+        signed = random_affinity_weights(n, 6).w * (np.arange(n) % 2 == 0)
+        return [
+            *(make_model(kind, n, seed=6) for kind in MODEL_KINDS),
+            ConstantModel(n),
+            self.sparse_dasgupta(n),
+            CorrelationModel(PairwiseWeights(np.minimum(signed, signed.T))),
+            ScalarOnlyModel(make_model("ginkgo", n, seed=6)),
+            edge_jet_model(),
+        ]
+
+    def test_block_equals_flat_call(self):
+        for model in self.models():
+            parents = np.arange(1, 1 << model.n, dtype=np.int64)
+            sizes = np.bitwise_count(parents)
+            for k in range(2, model.n + 1):
+                lefts, rights = split_blocks(parents[sizes == k])
+                block = model.log_psi_pairs(lefts, rights)
+                flat = model.log_psi_pairs(lefts.ravel(), rights.ravel())
+                assert_same_bits(block, flat.reshape(lefts.shape))
+                assert_same_bits(model.log_psi_pairs(lefts[:1], rights[:1]), block[:1])
+                assert_same_bits(model.log_psi_pairs(lefts[:, :1], rights[:, :1]), block[:, :1])
+
+    def test_edge_cases_are_covered(self):
+        edge = edge_jet_model()
+        lefts, rights = split_blocks(np.array([(1 << edge.n) - 1]))
+        out = edge.log_psi_pairs(lefts, rights)
+        assert np.isneginf(out).any() and np.isfinite(out).any()
+        lefts, rights = split_blocks(np.array([0b11]))  # both children clamped to 0
+        assert np.isfinite(edge.log_psi_pairs(lefts, rights)).all()
+        lefts, rights = split_blocks(np.array([0b1100]))  # massless parent
+        assert np.isneginf(edge.log_psi_pairs(lefts, rights)).all()
+        zero = self.sparse_dasgupta(9).log_psi_pairs(*split_blocks(np.array([(1 << 9) - 1])))
+        assert np.any((zero == 0.0) & np.signbit(zero))
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_block_past_the_table_cap(self, kind):
+        n = TABLE_MAX_LEAVES + 2
+
+        def make():  # a fresh memo per call
+            return random_ginkgo(n, 24) if kind == "ginkgo" else make_model(kind, n, seed=24)
+
+        rng = np.random.default_rng(7)
+        parents = np.array([
+            sum(1 << int(i) for i in rng.choice(n, size=7, replace=False)) for _ in range(5)
+        ], dtype=np.int64)
+        lefts, rights = split_blocks(parents)
+        block = make().log_psi_pairs(lefts, rights)
+        flat = make().log_psi_pairs(lefts.ravel(), rights.ravel())
+        assert_same_bits(block, flat.reshape(lefts.shape))
+        if kind == "ginkgo":
+            assert np.isfinite(block).any()
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_leaf_63_beam_input(self, kind):
+        # uint64 clusters with the sign bit set, flat as the beam passes them
+        n = 64
+        model = random_ginkgo(n, 64) if kind == "ginkgo" else make_model(kind, n, seed=64)
+        parent = 1 << 2 | 1 << 17 | 1 << 40 | 1 << 62 | 1 << 63
+        splits = np.array(list(pivot_splits(parent)), dtype=np.uint64)
+        splits = np.stack([splits, np.uint64(parent) ^ splits])
+        lefts, rights = splits.min(axis=0), splits.max(axis=0)  # the order log_psi uses
+        flat = model.log_psi_pairs(lefts, rights)
+        assert flat.shape == lefts.shape
+        scalar = [model.log_psi(l, r) for l, r in zip(lefts.tolist(), rights.tolist())]
+        assert [v.hex() for v in flat.tolist()] == [v.hex() for v in scalar]
+        block = model.log_psi_pairs(lefts[None, :], rights[None, :])
+        assert_same_bits(block, flat[None, :])
+
+
 class TestSymmetry:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_exact_symmetry_all_pairs(self, kind):
@@ -342,6 +469,8 @@ class TestPairSumBackends:
         assert np.array_equal(table, _mass2(vec[:, 0], vec[:, 1], vec[:, 2], vec[:, 3]))
 
     def test_ginkgo_keeps_one_mass_table(self):
+        # the squared masses, plus the same table clamped as children read
+        # it; no four-vector table
         n = 12
         model = make_model("ginkgo", n, seed=3)
         arrays = [
@@ -350,8 +479,10 @@ class TestPairSumBackends:
             for a in getattr(obj, "__dict__", {}).values()
             if isinstance(a, np.ndarray) and a.size >= 1 << n
         ]
-        assert len(arrays) == 1
-        assert arrays[0].shape == (1 << n,) and arrays[0].dtype == np.float64
+        assert len(arrays) == 2
+        assert all(a.shape == (1 << n,) and a.dtype == np.float64 for a in arrays)
+        t = model._t._table
+        assert np.array_equal(model._child_t[t >= 0], t[t >= 0])
 
 
 def _signed_payloads(n: int, seed: int) -> np.ndarray:

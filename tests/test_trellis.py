@@ -31,7 +31,13 @@ import hctrellis.trellis as htrellis
 from hctrellis.core import full_mask, log_sum_exp, pivot_splits, popcount
 from hctrellis.datasets import random_affinity_weights, random_similarity_weights
 
-from conftest import MODEL_KINDS, exact_leaf_jet, make_model, output_digest
+from conftest import (
+    MODEL_KINDS,
+    ScalarOnlyModel,
+    exact_leaf_jet,
+    make_model,
+    output_digest,
+)
 
 
 class _ZeroModel(PotentialModel):
@@ -46,7 +52,7 @@ class _ZeroModel(PotentialModel):
         return LOG_ZERO
 
     def log_psi_pairs(self, lefts, rights):
-        return np.full(len(lefts), LOG_ZERO)
+        return np.full(np.shape(lefts), LOG_ZERO)
 
 
 class _ForbiddenChildModel(PotentialModel):
@@ -60,6 +66,21 @@ class _ForbiddenChildModel(PotentialModel):
 
     def _log_psi(self, left, right):
         return LOG_ZERO if self.forbidden in (left, right) else 0.0
+
+
+class _SortedFlatModel(PotentialModel):
+    """Another model's batched psi on each pair flattened and given smaller
+    cluster first, the order the base class hands ``_log_psi``."""
+
+    kind = "sorted-flat"
+
+    def __init__(self, inner):
+        self.n = inner.n
+        self.inner = inner
+
+    def log_psi_pairs(self, lefts, rights):
+        lo, hi = np.minimum(lefts, rights).ravel(), np.maximum(lefts, rights).ravel()
+        return self.inner.log_psi_pairs(lo, hi).reshape(np.shape(lefts))
 
 
 class _DeadClusterModel(PotentialModel):
@@ -453,6 +474,25 @@ class TestLevelFill:
         if kind == "forbidden-child":  # all -inf rows, whose shift must not give NaN
             assert np.isneginf(log_z).any()
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_scalar_only_model(self, kind):
+        """A model with only ``_log_psi`` runs the fill, the outside pass and
+        the draws on the base class's batching."""
+        inner = make_model(kind, 8, seed=3)
+        model = ScalarOnlyModel(inner)
+        trellis = self.filled(model)
+        log_z, log_map, child = reference_fill(model)
+        assert np.array_equal(trellis.log_map_table, log_map)
+        assert np.array_equal(trellis._map_child, child)
+        np.testing.assert_allclose(trellis.log_z_table, log_z, rtol=0, atol=1e-12)
+        # scalar psi equals batched psi on sorted pairs bit for bit, so
+        # every table and draw equals the flat batched engine's
+        flat = self.filled(_SortedFlatModel(inner))
+        for table in ("log_z_table", "log_map_table", "_map_child"):
+            assert np.array_equal(getattr(trellis, table), getattr(flat, table))
+        assert np.array_equal(trellis._log_marginals(), flat._log_marginals())
+        assert trellis.sample_many(300, seed=8) == flat.sample_many(300, seed=8)
+
 
 class TestMarginals:
     def test_full_set_and_singletons_are_certain(self):
@@ -671,7 +711,7 @@ class TestSampling:
         psi_pairs = trellis.model.log_psi_pairs
 
         def counting(lefts, rights):
-            terms.append(len(lefts))
+            terms.append(np.size(lefts))
             return psi_pairs(lefts, rights)
 
         trellis.model.log_psi_pairs = counting
@@ -739,3 +779,22 @@ class TestFrozenOutputs:
     def test_digest_fourteen_leaves(self, kind, draws):
         trellis = DenseTrellis(GroundSet(14), make_model(kind, 14, seed=5))
         assert output_digest(*trellis.sample_many(2000, seed=(7, 14))) == draws
+
+    @pytest.mark.parametrize("kind, n, tables", [
+        ("ginkgo", 9, "3902a8b386f195fe"),
+        ("ginkgo", 12, "b8013a4ee0b0f998"),
+        ("dasgupta", 9, "a40ab17f4df40b90"),
+        ("dasgupta", 12, "e947c288135c40d8"),
+        ("correlation", 9, "a037214119e57944"),
+        ("correlation", 12, "c40273e463c40f84"),
+    ])
+    def test_table_digest(self, kind, n, tables):
+        """Every cell of log Z, log MAP, the backpointers and the cluster
+        marginals, bit for bit, as recorded before the fill scored 2-D
+        blocks."""
+        trellis = DenseTrellis(GroundSet(n), make_model(kind, n, seed=5))
+        digest = output_digest(
+            trellis.log_z_table, trellis.log_map_table, trellis._map_child,
+            trellis._log_marginals(),
+        )
+        assert digest == tables
