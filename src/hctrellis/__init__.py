@@ -39,7 +39,7 @@ from .models import (
 )
 from .trellis import DenseTrellis
 from .oracle import enumerate_hierarchies, oracle_summary, tree_potential
-from .baselines import BeamState, beam_search_cluster, beam_search_forest, greedy_cluster
+from .baselines import beam_search_cluster, beam_search_forest, greedy_cluster
 from .sparse import (
     LeafOrdering,
     SparseTrellis,
@@ -53,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BITSET_MAX_LEAVES",
-    "BeamState",
     "ConstantModel",
     "CorrelationModel",
     "DasguptaModel",

@@ -1,43 +1,42 @@
 """Agglomerative baselines driven by the same split potentials.
 
-Greedy merges the locally best pair at each step, found by the same pair
-scan (``_best_pair``, first maximum in nested ``(i, j)`` order) that the
-beam's depth >= 2 lookahead rollout runs.  Beam search is
-level-synchronous: every kept partial clustering expands all pairwise
-merges, candidates are ranked by accumulated score plus a short greedy
-lookahead, near-duplicate states (same partition, same score) collapse to
-one, and the top ``beam_width`` survive to the next level.
+Greedy merges the locally best pair at each step: a scalar
+``model.log_psi`` scan (``_best_pair``) over pairs in nested ``(i, j)``
+order, where the first maximum wins.  Beam search is level-synchronous:
+every kept partial clustering expands all pairwise merges, candidates are
+ranked by accumulated score plus a short greedy lookahead, near-duplicate
+states (same partition, same score) collapse to one, and the top
+``beam_width`` survive to the next level.
 
-Each level of the beam is one pass over parallel arrays.  The S kept
-states are an ``S x k`` ``uint64`` array of clusters, ordered by lowest
-leaf, plus a score vector.  The ``C = k(k-1)/2`` merges ``(i, j)`` come
-from ``np.triu_indices`` in the nested-loop order, so candidate
-``s * C + c`` is the c-th merge of state s.  A level's psi values come
-from ``model.log_psi_pairs`` on the cluster values themselves, each pair
-given smaller cluster first as scalar ``model.log_psi`` orders it, so
-they equal the scalar values bit for bit.  Clusters stay ``uint64``: leaf
-63 sets bit 63.
+The beam keeps its states only as arrays.  The S states of a level with k
+clusters are an ``S x k`` ``uint64`` array of clusters, ordered by lowest
+leaf, a score vector and an ``S x (n-k) x 2`` history of the (left, right)
+merges that built them; the final trees are read from that history.  The
+``C = k(k-1)/2`` merges ``(i, j)`` come from ``np.triu_indices`` in the
+nested-loop order, so candidate ``s * C + c`` is the c-th merge of state
+s.  Every psi value comes from ``model.log_psi_pairs`` on the cluster
+values themselves, each pair given smaller cluster first as scalar
+``model.log_psi`` orders it, so it equals the scalar value bit for bit.
+Clusters stay ``uint64``: leaf 63 sets bit 63.
 
 A depth-1 lookahead needs no rollout: the best merge after (i, j) either
 avoids both clusters, and is then the state's best pair avoiding i and j,
 or joins the merged cluster to one of the other k-2.  The best avoiding
 pair is among the state's top ``2k-2`` pair scores, since only ``2k-3``
 pairs touch i or j.  A max over floats is exact, so the bonus equals the
-greedy rollout's.  Deeper lookaheads still run that rollout per candidate,
-scored by scalar ``model.log_psi`` through a pair cache.
+greedy rollout's.  Deeper lookaheads run the greedy rollout for all
+candidates at once: each step scores every pair of every candidate, takes
+each row's first maximum and merges it row by row.
 
 Candidates rank by ``(-(score + bonus), partition)`` in one stable
 ``np.lexsort``, so full ties keep the expansion order.  The dedup walk
-then goes down that ranking, drops a candidate whose partition was
+then goes down that ranking and drops a candidate whose partition was
 already kept with a score within ``SCORE_TIE_TOL`` (another merge order
-of the same clustering), and builds a ``BeamState`` only for the
-candidates it keeps.
+of the same clustering).  The last level's candidates share one
+partition and get no bonus, so its kept order is the forest's, best first.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,22 +44,10 @@ from .core import Hierarchy, full_mask
 from .models import PotentialModel
 
 SCORE_TIE_TOL = 1e-12
-# Join pairs (merged cluster, other cluster) are scored about this many at a
-# time, which caps the join's temporaries; every other per-level array holds
-# at most S * C * k words.
+# Lookahead pairs (joins and rollout steps) are scored about this many at a
+# time, which caps their temporaries; every other per-level array holds at
+# most S * C * k words.
 JOIN_CHUNK_PAIRS = 1 << 15
-
-
-@dataclass
-class BeamState:
-    """A partial clustering: disjoint clusters covering the ground set."""
-
-    partition: tuple[int, ...]  # ordered by lowest leaf
-    children: dict[int, tuple[int, int]] = field(default_factory=dict)
-    log_score: float = 0.0
-
-    def recomputed_score(self, model: PotentialModel) -> float:
-        return math.fsum(model.log_psi(l, r) for l, r in self.children.values())
 
 
 def _best_pair(parts: list[int], psi) -> tuple[float, int, int]:
@@ -90,15 +77,28 @@ def greedy_cluster(model: PotentialModel) -> tuple[float, Hierarchy]:
     return score, Hierarchy(full_mask(n), children)
 
 
-def _lookahead_bonus(partition: tuple[int, ...], psi, depth: int) -> float:
-    # Greedy rollout of `depth` further merges, scored but not committed.
-    bonus = 0.0
-    parts = list(partition)
-    for _ in range(min(depth, len(parts) - 1)):
-        best_val, i, j = _best_pair(parts, psi)
-        bonus += best_val
-        parts[i] |= parts[j]
-        del parts[j]
+def _merges(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The merges (I[c], J[c]) of k clusters in nested (i, j) order, and the
+    columns merge c keeps: every one but J[c], where I[c] takes the merge."""
+    I, J = np.triu_indices(k, 1)
+    cols = np.arange(k)
+    keep = np.broadcast_to(cols, (len(I), k))[cols != J[:, None]].reshape(len(I), k - 1)
+    return I, J, keep
+
+
+def _rollout_bonus(rows: np.ndarray, depth: int, psi_pairs) -> np.ndarray:
+    # Greedy rollout of `depth` further merges from every row, scored but not
+    # committed.
+    bonus = np.zeros(len(rows))
+    r = np.arange(len(rows))
+    for m in range(rows.shape[1], max(1, rows.shape[1] - depth), -1):
+        I, J, keep = _merges(m)
+        vals = psi_pairs(rows[:, I], rows[:, J])
+        best = vals.argmax(axis=1)  # the first maximum, as _best_pair takes
+        bonus += vals[r, best]
+        merged = rows[r, I[best]] | rows[r, J[best]]
+        rows = rows[r[:, None], keep[best]]
+        rows[r, I[best]] = merged
     return bonus
 
 
@@ -118,34 +118,28 @@ def beam_search_forest(
     if n == 1:
         return [(0.0, Hierarchy(1, {}))]
 
-    cache: dict[tuple[int, int], float] = {}
-
-    def psi(a: int, b: int) -> float:
-        key = (a, b) if a < b else (b, a)
-        val = cache.get(key)
-        if val is None:
-            val = model.log_psi(a, b)
-            cache[key] = val
-        return val
-
     def psi_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # psi of every broadcast pair of uint64 clusters, smaller cluster first
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         return model.log_psi_pairs(lo.ravel(), hi.ravel()).reshape(lo.shape)
 
-    states = [BeamState(tuple(1 << i for i in range(n)))]
-    parts = np.array([states[0].partition], dtype=np.uint64)
+    parts = np.array([[1 << i for i in range(n)]], dtype=np.uint64)
     scores = np.zeros(1)
+    history = np.zeros((1, 0, 2), dtype=np.uint64)
     for k in range(n, 1, -1):
-        S = len(states)
-        I, J = np.triu_indices(k, 1)
+        S = len(parts)
+        I, J, keep = _merges(k)
         C = len(I)
         lefts, rights = parts[:, I], parts[:, J]
         merged = lefts | rights
         pair_vals = psi_pairs(lefts, rights)
-        cols = np.arange(k)
+        new_parts = parts[:, keep]
+        new_parts[:, np.arange(C), I] = merged
+        new_parts = new_parts.reshape(S * C, k - 1)
+        new_scores = scores[:, None] + pair_vals
         if lookahead == 1 and k > 2:
             # best psi of the merged cluster against each cluster but i and j
+            cols = np.arange(k)
             rest = np.broadcast_to(cols, (C, k))[(cols != I[:, None]) & (cols != J[:, None])]
             rest = rest.reshape(C, k - 2)
             step = max(1, JOIN_CHUNK_PAIRS // (C * (k - 2)))
@@ -162,46 +156,39 @@ def beam_search_forest(
             best_avoid = np.take_along_axis(top_vals, avoids.argmax(axis=2), axis=1)
             best_avoid[~avoids.any(axis=2)] = -np.inf
             bonus = np.maximum(best_join, best_avoid)
+        elif lookahead > 1 and k > 2:
+            # the rollout's first step scores the most pairs, (k-1)(k-2)/2 a row
+            step = max(1, JOIN_CHUNK_PAIRS // ((k - 1) * (k - 2) // 2))
+            bonus = np.concatenate([
+                _rollout_bonus(new_parts[a : a + step], lookahead, psi_pairs)
+                for a in range(0, S * C, step)
+            ]).reshape(S, C)
         else:
             bonus = 0.0
-        # merge c keeps every column but J[c], with column I[c] replaced
-        keep = np.broadcast_to(cols, (C, k))[cols != J[:, None]].reshape(C, k - 1)
-        new_parts = parts[:, keep]
-        new_parts[:, np.arange(C), I] = merged
-        new_parts = new_parts.reshape(S * C, k - 1)
-        new_scores = scores[:, None] + pair_vals
-        if lookahead > 1 and k > 2:
-            bonus = np.array(
-                [_lookahead_bonus(p, psi, lookahead) for p in new_parts.tolist()]
-            ).reshape(S, C)
         keys = (new_scores + bonus).ravel()
         new_scores = new_scores.ravel()
 
         ranking = np.lexsort(tuple(new_parts.T[::-1]) + (-keys,))
-        kept: list[BeamState] = []
-        kept_idx: list[int] = []
+        kept: list[int] = []
         seen: dict[tuple[int, ...], list[float]] = {}
         score_list = new_scores.tolist()
         for idx in ranking.tolist():
-            partition = tuple(new_parts[idx].tolist())
             score = score_list[idx]
-            prior = seen.setdefault(partition, [])
+            prior = seen.setdefault(tuple(new_parts[idx].tolist()), [])
             if any(abs(score - s) <= SCORE_TIE_TOL for s in prior):
                 continue  # another merge order of the same clustering
             prior.append(score)
-            s, c = divmod(idx, C)
-            left, right = int(lefts[s, c]), int(rights[s, c])
-            children = dict(states[s].children)
-            children[left | right] = (left, right)
-            kept.append(BeamState(partition, children, score))
-            kept_idx.append(idx)
+            kept.append(idx)
             if len(kept) == beam_width:
                 break
-        states = kept
-        parts, scores = new_parts[kept_idx], new_scores[kept_idx]
+        s, c = np.divmod(kept, C)
+        merge = np.stack([lefts[s, c], rights[s, c]], axis=1)
+        history = np.concatenate([history[s], merge[:, None]], axis=1)
+        parts, scores = new_parts[kept], new_scores[kept]
+    root = full_mask(n)
     return [
-        (s.log_score, Hierarchy(full_mask(n), s.children))
-        for s in sorted(states, key=lambda s: (-s.log_score, s.partition))
+        (score, Hierarchy(root, {left | right: (left, right) for left, right in merges}))
+        for score, merges in zip(scores.tolist(), history.tolist())
     ]
 
 

@@ -276,6 +276,7 @@ def cmd_baselines(args, out: Path) -> int:
     }
     _record(
         args, out, dataset_sha256=digest, **_model_fields(args),
+        beam_width=args.beam_width, lookahead=args.lookahead,
         instances=len(rows), wall_time=wall, summary=summary,
     )
     for name, stats in summary.items():
@@ -285,10 +286,16 @@ def cmd_baselines(args, out: Path) -> int:
 
 
 def cmd_sparse(args, out: Path) -> int:
-    ordering = LeafOrdering(args.ordering, args.ordering_seed)
+    seed = args.seed if args.ordering_seed is None else args.ordering_seed
+    ordering = LeafOrdering(args.ordering, seed)
     if args.load_trellis:
         trellis = SparseTrellis.load(args.load_trellis)
+        build = {"trellis_file": Path(args.load_trellis).name}
     else:
+        build = {"builder": args.builder, "n_leaves": args.n_leaves, "num_seeds": args.num_seeds,
+                 "ordering": args.ordering, "ordering_seed": seed}
+        if args.builder == "bs":
+            build.update(beam_width=args.beam_width, lookahead=args.lookahead)
         base = _jet_config(args, (args.n_leaves, args.n_leaves))
         if args.builder == "sim":
             trellis = build_simulator_trellis(base, args.num_seeds, ordering)
@@ -312,7 +319,7 @@ def cmd_sparse(args, out: Path) -> int:
     )
     if not args.test_corpus:
         _record(
-            args, out, vertices=trellis.num_vertices(), edges=trellis.num_edges(),
+            args, out, **build, vertices=trellis.num_vertices(), edges=trellis.num_edges(),
             sparsity=float(sparsity),
         )
         return 0
@@ -338,7 +345,7 @@ def cmd_sparse(args, out: Path) -> int:
     mean_rel = statistics.fmean(r[1] - r[2] for r in rows)
     mean_full_rel = statistics.fmean(r[3] - r[2] for r in rows)
     _record(
-        args, out, vertices=trellis.num_vertices(), edges=trellis.num_edges(),
+        args, out, **build, vertices=trellis.num_vertices(), edges=trellis.num_edges(),
         sparsity=float(sparsity), instances=len(rows),
         mean_sparse_map_minus_greedy=mean_rel, mean_full_map_minus_greedy=mean_full_rel,
     )

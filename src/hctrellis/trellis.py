@@ -280,6 +280,8 @@ class DenseTrellis:
         ``seed`` may be a Generator: each draw advances it by n - 1
         uniforms, so splitting a count into several calls gives the same
         draws."""
+        if count < 0:
+            raise ValueError(f"draw count must be nonnegative, not {count}")
         if count and self.log_partition() == LOG_ZERO:
             raise ValueError("degenerate posterior: partition function is zero")
         rng = np.random.default_rng(seed)

@@ -1,3 +1,5 @@
+from dataclasses import dataclass, field
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +15,7 @@ from hctrellis import (
     greedy_cluster,
     log_hierarchy_potential,
 )
-from hctrellis.baselines import SCORE_TIE_TOL, BeamState
+from hctrellis.baselines import JOIN_CHUNK_PAIRS, SCORE_TIE_TOL
 from hctrellis.core import full_mask
 from hctrellis.datasets import (
     greedy_adversarial_weights,
@@ -30,6 +32,15 @@ ALL_KINDS = MODEL_KINDS + ("constant",)
 # ---------------------------------------------------------------------------
 # reference beam: the one-object-per-candidate implementation the level
 # arrays replaced, kept verbatim so forests can be compared bit for bit
+
+
+@dataclass
+class BeamState:
+    """A partial clustering: disjoint clusters covering the ground set."""
+
+    partition: tuple[int, ...]  # ordered by lowest leaf
+    children: dict[int, tuple[int, int]] = field(default_factory=dict)
+    log_score: float = 0.0
 
 
 def _merge_partition(partition: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
@@ -342,7 +353,7 @@ class TestBeamMatchesReference:
         n=st.integers(1, 10),
         seed=st.integers(0, 10**6),
         beam_width=st.sampled_from([1, 3, None]),
-        lookahead=st.sampled_from([0, 1, 2]),
+        lookahead=st.sampled_from([0, 1, 2, 3]),
     )
     def test_small_models(self, kind, n, seed, beam_width, lookahead):
         assert_same_forest(make_model(kind, n, seed), beam_width, lookahead)
@@ -353,17 +364,8 @@ class TestBeamMatchesReference:
 
     @pytest.mark.parametrize("lookahead", [0, 1, 2])
     def test_same_psi_calls(self, lookahead):
-        if lookahead > 1:
-            # the greedy rollout scores through the scalar pair cache
-            model = make_model("ginkgo", 9, seed=3)
-            calls = counting_psi(model)
-            reference_beam_search_forest(model, lookahead=lookahead)
-            expected, calls[0] = calls[0], 0
-            beam_search_forest(model, lookahead=lookahead)
-            assert calls[0] == expected > 0
-            return
-        # levels score every pair in batches, smaller cluster first, and
-        # cover exactly the pairs the reference scores one at a time
+        # levels and rollouts score every pair in batches, smaller cluster
+        # first, and cover exactly the pairs the reference scores one at a time
         for kind in MODEL_KINDS:
             model = make_model(kind, 9, seed=3)
             scalar, batched = recording_psi(model)
@@ -375,6 +377,21 @@ class TestBeamMatchesReference:
             assert all(left < right for left, right in batched)
             assert set(batched) == expected
 
+    def test_rollout_calls_are_chunked(self):
+        # at n = 10 a level scores at most 45 * 36 merges, while the second
+        # level's rollout scores 45 * 36 rows of 28 pairs, past JOIN_CHUNK_PAIRS
+        model = make_model("ginkgo", 10, seed=3)
+        sizes = []
+        raw_pairs = model.log_psi_pairs
+
+        def log_psi_pairs(lefts, rights):
+            sizes.append(len(lefts))
+            return raw_pairs(lefts, rights)
+
+        model.log_psi_pairs = log_psi_pairs
+        beam_search_forest(model, lookahead=2)
+        assert max(sizes) <= JOIN_CHUNK_PAIRS
+
     def test_clusters_past_32_bits(self):
         # clusters over 40 leaves need more than 32 bits
         assert_same_forest(make_model("dasgupta", 40, seed=2), beam_width=3)
@@ -384,21 +401,11 @@ class TestBeamMatchesReference:
         assert_same_forest(make_model("dasgupta", 64, seed=2), beam_width=2, lookahead=0)
 
 
-class TestBeamState:
-    def test_partition_invariants_and_score_recompute(self):
+class TestBeamScores:
+    def test_score_recompute(self):
         model = make_model("correlation", 6, seed=3)
-        forest = beam_search_forest(model, beam_width=5)
-        for score, tree in forest:
-            state = BeamState((full_mask(6),), dict(tree.children), score)
-            assert state.recomputed_score(model) == pytest.approx(score, abs=1e-12)
-
-    def test_partition_covers_ground_set(self):
-        state = BeamState((0b0011, 0b1100,))
-        union = 0
-        for c in state.partition:
-            assert not (union & c)
-            union |= c
-        assert union == full_mask(4)
+        for score, tree in beam_search_forest(model, beam_width=5):
+            assert score == pytest.approx(log_hierarchy_potential(tree, model), abs=1e-12)
 
 
 class TestGreedySuboptimality:

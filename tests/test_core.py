@@ -324,3 +324,11 @@ class TestBitHelpers:
 
         arr = np.array([0b1011, 0b1, 0b1111110], dtype=np.int64)
         assert popcounts(arr).tolist() == [3, 1, 6]
+
+
+def test_package_exports_resolve_once():
+    import hctrellis
+
+    assert len(hctrellis.__all__) == len(set(hctrellis.__all__))
+    for name in hctrellis.__all__:
+        assert hasattr(hctrellis, name), name

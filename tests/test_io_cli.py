@@ -188,6 +188,41 @@ class TestCli:
         assert main(args) == 2
         assert "lookahead must be nonnegative" in capsys.readouterr().err
 
+    def test_sparse_random_ordering_follows_seed(self, tmp_path):
+        # without --ordering-seed the leaf permutations come from --seed
+        files = []
+        for name in ("a", "b"):
+            files.append(tmp_path / f"{name}.json")
+            assert main(["sparse", "--builder", "sim", "--n-leaves", "6", "--num-seeds", "8",
+                         "--ordering", "random", "--seed", "3", "--save-trellis", str(files[-1]),
+                         "--out", str(tmp_path / name)]) == 0
+        assert files[0].read_bytes() == files[1].read_bytes()
+
+    @pytest.mark.parametrize("builder", ["sim", "bs"])
+    def test_sparse_records_build_inputs(self, tmp_path, builder):
+        args = ["sparse", "--builder", builder, "--n-leaves", "4", "--num-seeds", "2",
+                "--ordering", "random", "--seed", "5", "--out", str(tmp_path)]
+        assert main(args + (["--beam-width", "2", "--lookahead", "0"] if builder == "bs" else [])) == 0
+        record = json.loads((tmp_path / "records.jsonl").read_text())
+        assert {k: record[k] for k in ("builder", "n_leaves", "num_seeds", "ordering",
+                                       "ordering_seed")} == {
+            "builder": builder, "n_leaves": 4, "num_seeds": 2, "ordering": "random",
+            "ordering_seed": 5,
+        }
+        if builder == "bs":
+            assert (record["beam_width"], record["lookahead"]) == (2, 0)
+        else:
+            assert "beam_width" not in record and "lookahead" not in record
+
+    def test_baselines_records_beam_settings(self, tmp_path):
+        data = tmp_path / "d.json"
+        _write_two_leaf_dataset(data)
+        args = ["baselines", "--data", str(data), "--beam-width", "4", "--lookahead", "2",
+                "--out", str(tmp_path)]
+        assert main(args) == 0
+        record = json.loads((tmp_path / "records.jsonl").read_text())
+        assert (record["beam_width"], record["lookahead"]) == (4, 2)
+
     def test_sample_frequencies(self, tmp_path):
         corpus = tmp_path / "c"
         assert main(
@@ -575,4 +610,4 @@ class TestCliOutputDigest:
         for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
             digest.update(str(path.relative_to(tmp_path)).encode())
             digest.update(_masked_bytes(path))
-        assert digest.hexdigest()[:16] == "a6de82b1e54b2413"
+        assert digest.hexdigest()[:16] == "afaa0934edf911a7"

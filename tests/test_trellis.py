@@ -662,6 +662,11 @@ class TestSampling:
         assert trellis.sample_many(0, rng) == []
         self.assert_spent(rng, 8, 0)
 
+    def test_negative_count_rejected(self):
+        trellis = DenseTrellis(GroundSet(5), make_model("ginkgo", 5, seed=1))
+        with pytest.raises(ValueError, match="nonnegative"):
+            trellis.sample_many(-3, 0)
+
     def test_degenerate_raises_before_drawing(self):
         trellis = DenseTrellis(GroundSet(4), _ZeroModel(4))
         rng = np.random.default_rng(8)
