@@ -1,8 +1,13 @@
 """Agglomerative baselines driven by the same split potentials.
 
-Greedy merges the locally best pair at each step: a scalar
-``model.log_psi`` scan (``_best_pair``) over pairs in nested ``(i, j)``
-order, where the first maximum wins.  Beam search is level-synchronous:
+Greedy merges the locally best pair at each step, the first maximum in
+nested ``(i, j)`` order.  It keeps a pair-score table: row i holds the
+scalar ``model.log_psi(clusters[i], clusters[j])`` of every j > i.  A step
+takes each row's first maximum and a later row wins only when strictly
+greater; the merge drops row and column j and rescores only the merged
+cluster's pairs, with the arguments in the scan's order.  That is
+n(n-1)/2 + (n-1)(n-2)/2 = (n-1)^2 psi calls where a rescan of every pair
+after every merge makes about n^3/6.  Beam search is level-synchronous:
 every kept partial clustering expands all pairwise merges, candidates are
 ranked by accumulated score plus a short greedy lookahead, near-duplicate
 states (same partition, same score) collapse to one, and the top
@@ -50,30 +55,33 @@ SCORE_TIE_TOL = 1e-12
 JOIN_CHUNK_PAIRS = 1 << 15
 
 
-def _best_pair(parts: list[int], psi) -> tuple[float, int, int]:
-    """The highest psi over pairs of ``parts`` and its (i, j), i < j; the
-    first maximum in nested (i, j) order wins."""
-    best = None
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            v = psi(parts[i], parts[j])
-            if best is None or v > best[0]:
-                best = (v, i, j)
-    return best
-
-
 def greedy_cluster(model: PotentialModel) -> tuple[float, Hierarchy]:
-    """n-1 locally optimal merges; ties go to the smallest leaf-index pair."""
+    """n-1 locally optimal merges; ties go to the first pair in nested (i, j)
+    order."""
     n = model.n
+    psi = model.log_psi
     clusters = [1 << i for i in range(n)]
+    # rows[i][j - i - 1] = psi(clusters[i], clusters[j]) for j > i
+    rows = [[psi(c, d) for d in clusters[i + 1 :]] for i, c in enumerate(clusters)]
     children: dict[int, tuple[int, int]] = {}
     score = 0.0
     for _ in range(n - 1):
-        best_val, i, j = _best_pair(clusters, model.log_psi)
-        children[clusters[i] | clusters[j]] = (clusters[i], clusters[j])
-        score += best_val
-        clusters[i] |= clusters[j]
-        del clusters[j]
+        # max keeps the first of equal values, so the first maximum in
+        # nested (i, j) order wins
+        maxima = [max(row) for row in rows[:-1]]
+        best = max(maxima)
+        i = maxima.index(best)
+        j = i + 1 + rows[i].index(best)
+        merged = clusters[i] | clusters[j]
+        children[merged] = (clusters[i], clusters[j])
+        score += best
+        clusters[i] = merged
+        del clusters[j], rows[j]
+        for a in range(j):
+            del rows[a][j - a - 1]
+        for a in range(i):
+            rows[a][i - a - 1] = psi(clusters[a], merged)
+        rows[i] = [psi(merged, d) for d in clusters[i + 1 :]]
     return score, Hierarchy(full_mask(n), children)
 
 
@@ -94,7 +102,7 @@ def _rollout_bonus(rows: np.ndarray, depth: int, psi_pairs) -> np.ndarray:
     for m in range(rows.shape[1], max(1, rows.shape[1] - depth), -1):
         I, J, keep = _merges(m)
         vals = psi_pairs(rows[:, I], rows[:, J])
-        best = vals.argmax(axis=1)  # the first maximum, as _best_pair takes
+        best = vals.argmax(axis=1)  # the first maximum, as greedy_cluster takes
         bonus += vals[r, best]
         merged = rows[r, I[best]] | rows[r, J[best]]
         rows = rows[r[:, None], keep[best]]

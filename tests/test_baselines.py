@@ -134,7 +134,7 @@ def reference_beam_search_forest(
 
 
 def reference_greedy_cluster(model) -> tuple[float, Hierarchy]:
-    """greedy_cluster as it was before it shared the pair scan, kept verbatim."""
+    """greedy_cluster as a rescan of every pair after every merge, kept verbatim."""
     n = model.n
     clusters = [1 << i for i in range(n)]
     children: dict[int, tuple[int, int]] = {}
@@ -162,19 +162,6 @@ def forest_bits(forest):
     return [(score.hex(), dict(tree.children)) for score, tree in forest]
 
 
-def counting_psi(model):
-    """Route model.log_psi through a call counter; return the counter."""
-    calls = [0]
-    raw = model.log_psi
-
-    def log_psi(left, right):
-        calls[0] += 1
-        return raw(left, right)
-
-    model.log_psi = log_psi
-    return calls
-
-
 def recording_psi(model):
     """Record the pairs model.log_psi and model.log_psi_pairs are given."""
     scalar, batched = [], []
@@ -190,6 +177,21 @@ def recording_psi(model):
 
     model.log_psi, model.log_psi_pairs = log_psi, log_psi_pairs
     return scalar, batched
+
+
+def assert_greedy_psi_calls(model, reference_calls):
+    """The pair table scores each pair once, (n-1)^2 calls in all, in the
+    argument order the reference's rescan uses, and keeps its result."""
+    scalar, _ = recording_psi(model)
+    expected = reference_greedy_cluster(model)
+    reference_pairs = set(scalar)
+    assert len(scalar) == reference_calls
+    scalar.clear()
+    got = greedy_cluster(model)
+    assert len(scalar) == (model.n - 1) ** 2
+    assert len({frozenset(pair) for pair in scalar}) == len(scalar)
+    assert set(scalar) <= reference_pairs
+    assert forest_bits([got]) == forest_bits([expected])
 
 
 def assert_same_forest(model, beam_width=None, lookahead=1):
@@ -258,12 +260,7 @@ class TestGreedyMatchesReference:
         assert output_digest(*greedy_cluster(make_model(kind, n, seed=5))) == digest
 
     def test_same_psi_calls(self):
-        model = make_model("ginkgo", 9, seed=3)
-        calls = counting_psi(model)
-        reference_greedy_cluster(model)
-        expected, calls[0] = calls[0], 0
-        greedy_cluster(model)
-        assert calls[0] == expected == sum(k * (k - 1) // 2 for k in range(2, 10))
+        assert_greedy_psi_calls(make_model("ginkgo", 9, seed=3), 120)
 
 
 class TestPastTheTables:
@@ -287,6 +284,10 @@ class TestPastTheTables:
         assert output_digest(*greedy_cluster(model)) == greedy
         forest = beam_search_forest(model, 3)
         assert output_digest(*[x for pair in forest for x in pair]) == beam
+
+    def test_greedy_psi_calls(self):
+        # 1521 calls against the rescan's 10660
+        assert_greedy_psi_calls(make_model("dasgupta", 40, seed=5), 10660)
 
 
 class TestBeam:

@@ -349,6 +349,22 @@ class TestCli:
              "--out", str(tmp_path)]
         ) == 0
 
+    def test_sparse_eval_past_dense_cap(self, tmp_path, capsys):
+        # 24 leaves is past the dense cap: the full-MAP column stays blank
+        corpus = tmp_path / "corpus"
+        root = ["--root", "200,0,0,100"]
+        assert main(["generate", "--count", "2", *root, "--min-leaves", "24",
+                     "--max-leaves", "24", "--out", str(corpus)]) == 0
+        assert main(["sparse", "--n-leaves", "24", "--num-seeds", "20", *root,
+                     "--test-corpus", str(corpus), "--out", str(tmp_path)]) == 0
+        assert "mean(full   MAP - greedy) = n/a" in capsys.readouterr().out
+        rows = list(csv.reader((tmp_path / "sparse_eval.csv").read_text().splitlines()))
+        assert len(rows) == 3
+        assert all(row[1] and row[2] and row[3] == "" for row in rows[1:])
+        record = json.loads((tmp_path / "records.jsonl").read_text())
+        assert record["mean_full_map_minus_greedy"] is None
+        assert isinstance(record["mean_sparse_map_minus_greedy"], float)
+
     def test_bench_small_range(self, tmp_path):
         assert main(
             ["bench", "--n-min", "2", "--n-max", "9", "--model", "constant",
@@ -475,6 +491,22 @@ class TestCliRefusals:
         assert main(args) == 2
         assert "n-max <= 22" in capsys.readouterr().err
         assert not (tmp_path / "bench.csv").exists()
+
+    def test_baselines_refuses_past_dense_cap_before_any_search(self, tmp_path, capsys,
+                                                                monkeypatch):
+        import hctrellis.cli
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("baselines started a search before refusing")
+
+        monkeypatch.setattr(hctrellis.cli, "greedy_cluster", no_search)
+        monkeypatch.setattr(hctrellis.cli, "beam_search_cluster", no_search)
+        data = tmp_path / "big.json"
+        save_dataset(pairwise_dataset(PairwiseWeights.from_triples(23, [])), data)
+        args = ["baselines", "--data", str(data), "--model", "dasgupta", "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert "instance 0 has 23 leaves" in capsys.readouterr().err
+        assert not (tmp_path / "baselines.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--beta", "--lambda"])
     def test_bench_validates_model_params(self, tmp_path, capsys, flag):

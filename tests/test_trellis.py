@@ -511,6 +511,25 @@ class TestMarginals:
             )
             assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_constant_model_closed_form(self):
+        # under a uniform posterior a k-leaf cluster sits in (2k-3)!! trees on
+        # itself times (2(n-k)-1)!! trees on the rest with C contracted to a
+        # leaf, out of (2n-3)!!; this reaches past the oracle's sizes
+        n = 14
+
+        def double_factorial(m):
+            return math.prod(range(m, 0, -2))
+
+        trellis = DenseTrellis(GroundSet(n), ConstantModel(n))
+        total = double_factorial(2 * n - 3)
+        for bits in range(1, full_mask(n)):
+            k = popcount(bits)
+            if k < 2:
+                continue
+            expected = double_factorial(2 * k - 3) * double_factorial(2 * (n - k) - 1) / total
+            got = math.exp(trellis.marginal_cluster(bits))
+            assert got == pytest.approx(expected, rel=1e-12, abs=0), bits
+
     def test_zero_probability_cluster_is_exact_zero(self):
         model = _ForbiddenChildModel(5, 0b00110)
         trellis = DenseTrellis(GroundSet(5), model)
