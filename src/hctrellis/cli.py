@@ -22,7 +22,7 @@ from pathlib import Path
 from . import io as hio
 from .baselines import beam_search_cluster, greedy_cluster
 from .core import DENSE_MAX_LEAVES, GroundSet, mask_of, num_hierarchies, split_term_count
-from .datasets import random_similarity_weights
+from .datasets import random_affinity_weights, random_similarity_weights
 from .jetgen import DEFAULT_LAM, DEFAULT_TCUT, JetConfig, generate_jet
 from .models import (
     ConstantModel,
@@ -374,6 +374,8 @@ def cmd_bench(args, out: Path) -> int:
                 JetConfig(seed=(args.seed, n), leaf_count_filter=(n, n), lam=args.lam)
             )
             ds = hio.fourvector_dataset(jet.payloads)
+        elif args.model == "correlation":  # signed, so the negative term is exercised
+            ds = hio.pairwise_dataset(random_affinity_weights(n, args.seed))
         else:
             ds = hio.pairwise_dataset(random_similarity_weights(n, args.seed))
         model = _build_model(args, ds)

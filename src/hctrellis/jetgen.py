@@ -44,8 +44,8 @@ class JetConfig:
     leaf_count_filter: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("decay rate must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("decay rate must be positive and finite")
         if self.t_cut <= 0:
             raise ValueError("mass cutoff must be positive")
         if self.root.e <= 0:

@@ -12,6 +12,18 @@ parent.  A 1-D input is read as one pair per row, and a higher-dimensional
 one as rows along its last axis.  Every pair scores the same bits whatever
 block it arrives in.
 
+A model may also offer ``separable_terms(k)``: when log psi of every split
+of a parent of k leaves is c(P) + h(L) + h(R) for per-cluster arrays h
+and c over the 2**n cluster table, it returns ``(h, c)``, two new arrays
+the caller may overwrite, and the dense trellis scores the level's splits
+from them with no psi call.  Those sums equal ``log_psi_pairs`` up to
+rounding, not bit for bit.  The default returns None, as does a model
+whose coefficient times its largest pair sum could overflow; psi is then
+scored per split.  Dasgupta's cost is additive, so h = beta*k*W and
+c = -beta*k*W; correlation has h = beta*(pos + 2 neg) and c = -beta*pos at
+every level.  Ginkgo's density divides a child's squared mass by the
+parent's, which couples the two, so it keeps the default.
+
 Scoring flavours:
 
 * ``DasguptaModel``:    log psi = -beta * (|L|+|R|) * cross-cut weight.
@@ -123,8 +135,8 @@ class ModelParams:
     lam: float = 1.5
 
     def __post_init__(self):
-        if self.beta <= 0 or self.lam <= 0:
-            raise ValueError("beta and lam must both be positive")
+        if not (0 < self.beta < math.inf and 0 < self.lam < math.inf):  # NaN fails too
+            raise ValueError("beta and lam must both be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +151,8 @@ def log_splitting_density(t: float, t_parent: float, lam: float) -> float:
     """
     if t_parent <= 0:
         raise ValueError("parent squared mass must be positive")
-    if lam <= 0:
-        raise ValueError("decay rate must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("decay rate must be positive and finite")
     if t < 0 or t >= t_parent:
         return LOG_ZERO
     norm = math.log(lam) - math.log1p(-math.exp(-lam))
@@ -275,6 +287,12 @@ class _SubsetMass2(_ClusterTable):
 # models
 
 
+def _bounded(scale: float, weight: float) -> bool:
+    """Whether sums of a few terms as large as ``scale`` times the largest
+    pair sum ``weight`` (and log Z values of that size) stay finite."""
+    return math.isfinite(4.0 * scale * float(weight))
+
+
 def _split_rows(lefts, rights):
     """``(parents, lefts, rights, shape)``: the pairs as 2-D rows that each
     split one parent, that parent as a column, and the shape to give the
@@ -314,6 +332,13 @@ class PotentialModel:
         flat = [self._log_psi(*sorted(pair)) for pair in pairs]
         return np.array(flat, dtype=np.float64).reshape(np.shape(lefts))
 
+    def separable_terms(self, k: int):
+        """``(h, c)`` with log psi(L, R) = c[L | R] + h[L] + h[R] up to
+        rounding for every split of a parent of ``k`` leaves, as two new
+        arrays over the 2**n cluster table, or None: psi is not separable
+        or could overflow.  The default is None."""
+        return None
+
     def prime(self, clusters) -> None:
         """Precompute the per-cluster aggregates psi reads for ``clusters``
         (uint64 or Python int bit sets).  Psi values are the same with or
@@ -345,8 +370,10 @@ class DasguptaModel(PotentialModel):
     kind = "dasgupta"
 
     def __init__(self, weights: PairwiseWeights, beta: float = 1.0):
-        if beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0 < beta < math.inf:
+            raise ValueError("beta must be positive and finite")
+        if beta * weights.n == math.inf:  # psi scales by beta * |P|: inf * a zero cut is NaN
+            raise ValueError("beta times the leaf count overflows")
         if np.any(weights.w < 0):
             raise ValueError("cut-cost weights must be nonnegative")
         self.weights = weights
@@ -366,6 +393,13 @@ class DasguptaModel(PotentialModel):
         cut *= -self.beta * popcounts(parents)
         return cut.reshape(shape)
 
+    def separable_terms(self, k: int):
+        table = self._sums._table
+        if table is None or not _bounded(self.beta * self.n, table[-1]):
+            return None
+        h = table * (self.beta * k)
+        return h, -h
+
 
 class CorrelationModel(PotentialModel):
     """Agreement scoring over signed affinities.
@@ -378,8 +412,8 @@ class CorrelationModel(PotentialModel):
     kind = "correlation"
 
     def __init__(self, weights: PairwiseWeights, beta: float = 1.0):
-        if beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0 < beta < math.inf:
+            raise ValueError("beta must be positive and finite")
         if np.any(np.abs(weights.w) > 1.0):
             raise ValueError("affinities must lie in [-1, 1]")
         self.weights = weights
@@ -406,6 +440,14 @@ class CorrelationModel(PotentialModel):
         energy *= -self.beta
         return energy.reshape(shape)
 
+    def separable_terms(self, k: int):
+        pos, neg2 = self._pos._table, self._neg2._table
+        if pos is None or not _bounded(self.beta * self.n, pos[-1] - neg2[-1]):
+            return None
+        h = pos + neg2
+        h *= self.beta
+        return h, pos * -self.beta
+
 
 def _child_masses(t: np.ndarray) -> np.ndarray:
     """Squared masses as a child's density reads them: rounding debris in
@@ -427,8 +469,8 @@ class GinkgoModel(PotentialModel):
     kind = "ginkgo"
 
     def __init__(self, payloads, lam: float = 1.5):
-        if lam <= 0:
-            raise ValueError("decay rate must be positive")
+        if not 0 < lam < math.inf:
+            raise ValueError("decay rate must be positive and finite")
         rows = [p.as_tuple() if isinstance(p, FourVector) else tuple(p) for p in payloads]
         arr = np.asarray(rows, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != 4:

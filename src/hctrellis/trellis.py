@@ -3,13 +3,16 @@
 The trellis memoizes one cell per nonempty cluster, filled bottom-up one
 popcount level at a time.  Every cell only reads strictly smaller clusters,
 so a whole level is filled in chunks of parents.  A chunk is one 2-D block
-of splits, a row per parent: one psi call on the block, which reads each
-parent's own terms once per row, and one row-wise reduction.  The same
-single pass produces both the summed (partition function) and maxed (MAP)
-recursions plus MAP backpointers; the split-term counter therefore
-advances exactly once per evaluated split.  Tree counts run over the same
-chunks, flattened, through ``core.tree_counts``, the count kernel the
-sparse engine shares.
+of splits, a row per parent, and one row-wise reduction.  Every pass that
+scores splits (fill, outside pass, sampler) takes its blocks from
+``_scored_chunks``: for a level where the model gives separable terms
+(h, c), a split's term is (table + h)[L] + (table + h)[R] plus c[P], which
+is constant along a row and so is added after the row's reduction;
+otherwise one psi call scores the block.  The same single pass produces
+both the summed (partition function) and maxed (MAP) recursions plus MAP
+backpointers; the split-term counter therefore advances exactly once per
+evaluated split.  Tree counts run over the same chunks, flattened, through
+``core.tree_counts``, the count kernel the sparse engine shares.
 
 Cluster marginals come from one outside pass over the same chunks, levels
 top-down: each split hands its share of the parent's probability to both
@@ -20,7 +23,7 @@ The MAP tree comes from ``core.grow_hierarchy``, shared with the sparse
 engine, reading the backpointers.  Posterior draws are batched instead:
 all draws walk down together, one cluster size per pass, each picking its
 splits from cumulative weights built once per call for every distinct
-vertex of the pass, in the same chunks as the fill.  Sampling writes
+vertex of the pass, one fill chunk at a time.  Sampling writes
 nothing to the trellis.  A draw spends one uniform per non-singleton
 node in preorder, two-leaf nodes included, so it equals the draw a
 one-node-at-a-time walk would make from the same generator.
@@ -65,10 +68,12 @@ def _split_chunks(levels):
             yield parents, lefts, parents[:, None] ^ lefts
 
 
-def _pair_sums(lp: np.ndarray, table: np.ndarray, lefts, rights) -> np.ndarray:
-    """lp + table[lefts] + table[rights], added in that order, in a new array."""
+def _pair_sums(table: np.ndarray, lefts, rights, lp=None) -> np.ndarray:
+    """lp + table[lefts] + table[rights], added in that order, in a new
+    array; without ``lp``, table[lefts] + table[rights]."""
     out = table.take(lefts)
-    out += lp  # addition commutes bit for bit, so this is lp + table[lefts]
+    if lp is not None:
+        out += lp  # addition commutes bit for bit, so this is lp + table[lefts]
     out += table.take(rights)
     return out
 
@@ -92,13 +97,46 @@ class DenseTrellis:
 
     # -- dynamic program ----------------------------------------------------
 
-    def _level_chunks(self, sizes=None):
-        """Yield (parents, lefts, rights) blocks for every split, one popcount
-        level at a time, bottom-up unless ``sizes`` gives their order."""
+    def _levels(self, sizes=None):
+        """The clusters of each popcount in ``sizes`` (bottom-up from 2 by
+        default), one ascending array per size."""
         n = self.ground.n
         pc = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
         sizes = range(2, n + 1) if sizes is None else sizes
-        return _split_chunks(np.nonzero(pc == k)[0] for k in sizes)
+        return (np.nonzero(pc == k)[0] for k in sizes)
+
+    def _scored_chunks(self, levels, tables):
+        """Yield (parents, lefts, rights, const, blocks) for every split of
+        every parent in ``levels`` (arrays of parents that share a
+        popcount), in ``_split_chunks``' chunks: per table of ``tables``, a
+        block whose rows plus ``const`` are log psi + table[lefts] +
+        table[rights].  Cells below a level must be final when it starts.
+
+        If the model gives the level's separable terms (h, c), a block is
+        (table + h)[lefts] + (table + h)[rights] and ``const`` is
+        c[parents], with at most two extra cluster tables held; otherwise
+        one psi call scores the chunk and ``const`` is None (zero)."""
+        for level in levels:
+            shifted = h = None  # free the last level's tables first
+            terms = self.model.separable_terms(int(level[0]).bit_count())
+            if terms is None:
+                for parents, lefts, rights in _split_chunks([level]):
+                    lp = self.model.log_psi_pairs(lefts, rights)
+                    yield parents, lefts, rights, None, [
+                        _pair_sums(t, lefts, rights, lp) for t in tables
+                    ]
+                continue
+            h, c = terms
+            const = c.take(level)
+            del terms, c
+            # the last table is added into h itself
+            shifted = [h + t for t in tables[:-1]] + [np.add(h, tables[-1], out=h)]
+            lo = 0
+            for parents, lefts, rights in _split_chunks([level]):
+                yield parents, lefts, rights, const[lo : lo + parents.size], [
+                    _pair_sums(g, lefts, rights) for g in shifted
+                ]
+                lo += parents.size
 
     def _ensure_filled(self) -> None:
         if self._log_z is not None:
@@ -108,18 +146,21 @@ class DenseTrellis:
         log_map = np.zeros(size)
         map_child = np.zeros(size, dtype=np.int64)
         ops = 0
+        chunks = self._scored_chunks(self._levels(), (log_z, log_map))
         with np.errstate(divide="ignore", invalid="ignore"):
-            for parents, subs, comps in self._level_chunks():
-                lp = self.model.log_psi_pairs(subs, comps)
-                z_terms = _pair_sums(lp, log_z, subs, comps)
-                m_terms = _pair_sums(lp, log_map, subs, comps)
+            for parents, subs, _, const, (z_terms, m_terms) in chunks:
                 top = z_terms.max(axis=1)
                 shift = np.where(top == LOG_ZERO, 0.0, top)  # all-zero rows stay -inf
                 z_terms -= shift[:, None]
-                log_z[parents] = shift + np.log(np.exp(z_terms, out=z_terms).sum(axis=1))
+                z = shift + np.log(np.exp(z_terms, out=z_terms).sum(axis=1))
                 best = np.argmax(m_terms, axis=1)  # first max = smallest bits
                 rows = np.arange(parents.size)
-                log_map[parents] = m_terms[rows, best]
+                m = m_terms[rows, best]
+                if const is not None:
+                    z += const
+                    m += const
+                log_z[parents] = z
+                log_map[parents] = m
                 map_child[parents] = subs[rows, best]
                 ops += subs.size
         self.op_count = ops
@@ -179,12 +220,14 @@ class DenseTrellis:
             raise ValueError("degenerate posterior: partition function is zero")
         log_p = np.full(full + 1, LOG_ZERO)
         log_p[full] = 0.0
+        chunks = self._scored_chunks(self._levels(range(n, 1, -1)), (log_z,))
         with np.errstate(invalid="ignore"):
-            for parents, lefts, rights in self._level_chunks(range(n, 1, -1)):
+            for parents, lefts, rights, const, (t,) in chunks:
                 above = log_p[parents]  # final: every superset has handed down its share
                 # P(P) is -inf wherever Z(P) is, and -inf - -inf would be NaN
                 up = np.where(above == LOG_ZERO, LOG_ZERO, above - log_z[parents])
-                t = _pair_sums(self.model.log_psi_pairs(lefts, rights), log_z, lefts, rights)
+                if const is not None:
+                    up += const
                 t += up[:, None]
                 np.logaddexp.at(log_p, lefts, t)
                 np.logaddexp.at(log_p, rights, t)
@@ -208,30 +251,50 @@ class DenseTrellis:
 
     # -- posterior sampling ----------------------------------------------------
 
+    def _split_cums(self, distinct: np.ndarray):
+        """Yield (parents, cum) per chunk of ``distinct``, ascending vertices
+        of one size: row i of cum holds the cumulative split weights
+        psi * Z(left) * Z(right) of parents[i] in pivot_splits_array
+        order, scaled by the row maximum.  A separable model's c[parent]
+        is constant along the row, so the scaling cancels it."""
+        chunks = self._scored_chunks([distinct], (self._log_z,))
+        for parents, _, _, _, (terms,) in chunks:
+            terms -= terms.max(axis=1, keepdims=True)
+            yield parents, np.cumsum(np.exp(terms, out=terms), axis=1)
+
     def _pick_lefts(self, vertices: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Left child drawn at each vertex, all of one size, from its uniform:
         split i where i is min(searchsorted(cum, u * cum[-1], side="right"),
-        width - 1) over the cumulative weights psi * Z(left) * Z(right) of
-        its splits in pivot_splits_array order, scaled by the row maximum.
-        Each distinct vertex gets one row, built in the fill's chunks, and
-        all vertices search their rows at once by binary lifting."""
-        distinct, row = np.unique(vertices, return_inverse=True)
-        width = (1 << (int(np.bitwise_count(distinct[0])) - 1)) - 1
-        cum = np.empty((distinct.size, width))
-        log_z, lo = self._log_z, 0
-        for parents, lefts, rights in _split_chunks([distinct]):
-            terms = _pair_sums(self.model.log_psi_pairs(lefts, rights), log_z, lefts, rights)
-            terms -= terms.max(axis=1, keepdims=True)
-            np.cumsum(np.exp(terms, out=terms), axis=1, out=cum[lo : lo + parents.size])
+        width - 1) over its row of ``_split_cums``.  The vertices are sorted
+        so each chunk of distinct vertices holds a run of them; a chunk's
+        rows are built, then searched at once by binary lifting."""
+        order = np.argsort(vertices)
+        ordered = vertices[order]
+        new = np.diff(ordered, prepend=0) != 0  # vertices are nonzero, so the first is new
+        first = np.append(np.flatnonzero(new), ordered.size)  # each distinct vertex's run
+        row = np.cumsum(new) - 1
+        target = u[order]
+        width = (1 << (int(np.bitwise_count(ordered[0])) - 1)) - 1
+        count = np.empty(ordered.size, dtype=np.int64)  # entries <= target, as searchsorted counts
+        lo = 0
+        for parents, cum in self._split_cums(ordered[first[:-1]]):
+            a, b = first[lo], first[lo + parents.size]
+            flat = cum.ravel()
+            start = (row[a:b] - lo) * width - 1  # flat index of entry "-1" of each row
+            t = target[a:b]
+            t *= flat.take(start + width)
+            # width is 2**(k-1) - 1, the sum of all steps, so no probe
+            # passes the end of its row
+            pos = start.copy()
+            step = (width + 1) >> 1
+            while step:
+                pos += step * (flat.take(pos + step) <= t)
+                step >>= 1
+            count[a:b] = pos - start
             lo += parents.size
-        target = u * cum[row, -1]
-        count = np.zeros(row.size, dtype=np.int64)  # entries <= target, as searchsorted counts them
-        step = 1 << (width.bit_length() - 1)
-        while step:
-            probe = count + step
-            count += step * ((probe <= width) & (cum[row, np.minimum(probe, width) - 1] <= target))
-            step >>= 1
-        return pivot_split_at(vertices, np.minimum(count, width - 1))
+        lefts = np.empty_like(vertices)
+        lefts[order] = pivot_split_at(ordered, np.minimum(count, width - 1))
+        return lefts
 
     def _draw_batch(self, count: int, rng: np.random.Generator) -> list[Hierarchy]:
         """``count`` posterior draws walked down together, one cluster size
@@ -298,7 +361,7 @@ class DenseTrellis:
             n = self.ground.n
             levels = (
                 (p, l.ravel(), r.ravel(), np.arange(0, l.size, l.shape[1]))
-                for p, l, r in self._level_chunks()
+                for p, l, r in _split_chunks(self._levels())
             )
             self._counts = tree_counts(n, 1 << n, 1 << np.arange(n), levels)
         return int(self._counts[self.ground.full])

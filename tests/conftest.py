@@ -51,6 +51,16 @@ class ScalarOnlyModel(PotentialModel):
         return self.inner._log_psi(left, right)
 
 
+class PsiPathModel(ScalarOnlyModel):
+    """Another model's batched psi without its separable terms, so the
+    dense trellis scores every split by ``log_psi_pairs``."""
+
+    kind = "psi-path"
+
+    def log_psi_pairs(self, lefts, rights):
+        return self.inner.log_psi_pairs(lefts, rights)
+
+
 def exact_leaf_jet(n: int, seed, lam: float = 1.5):
     base = seed if isinstance(seed, tuple) else (seed,)
     # a softer cutoff makes 2-3 leaf jets common instead of one-in-a-thousand;

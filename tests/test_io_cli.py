@@ -508,6 +508,24 @@ class TestCliRefusals:
         assert "instance 0 has 23 leaves" in capsys.readouterr().err
         assert not (tmp_path / "baselines.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("model, flag", [
+        ("dasgupta", "--beta"), ("correlation", "--beta"), ("ginkgo", "--lambda"),
+    ])
+    def test_nonfinite_model_params_exit_2(self, tmp_path, capsys, model, flag, value):
+        # --beta nan printed log_z=nan and --beta inf printed -inf, both exit 0
+        data = tmp_path / "d.json"
+        if model == "ginkgo":
+            save_dataset(fourvector_dataset(exact_leaf_jet(4, 0).payloads), data)
+        else:
+            save_dataset(pairwise_dataset(random_similarity_weights(4, 0)), data)
+        args = ["z", "--data", str(data), "--model", model, f"{flag}={value}",
+                "--out", str(tmp_path)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "must both be positive and finite" in captured.err and "log_z" not in captured.out
+        assert not (tmp_path / "records.jsonl").exists()
+
     @pytest.mark.parametrize("flag", ["--beta", "--lambda"])
     def test_bench_validates_model_params(self, tmp_path, capsys, flag):
         args = ["bench", "--n-max", "4", "--model", "dasgupta", flag, "-1", "--out", str(tmp_path)]
@@ -562,6 +580,25 @@ class TestCliModelBinding:
         assert len(rows) == 6
         for row in rows[1:]:
             assert int(row[1]) == int(row[2])
+
+    def test_bench_correlation_has_negative_affinities(self, tmp_path, monkeypatch):
+        """The correlation sweep scores signed affinities, so the negative
+        within-cluster term is exercised, not nonnegative similarities."""
+        import hctrellis.io
+        from hctrellis import CorrelationModel
+
+        smallest = []
+
+        class Spy(CorrelationModel):
+            def __init__(self, weights, beta=1.0):
+                smallest.append(weights.w.min())
+                super().__init__(weights, beta)
+
+        monkeypatch.setattr(hctrellis.io, "CorrelationModel", Spy)
+        args = ["bench", "--n-min", "3", "--n-max", "6", "--model", "correlation",
+                "--out", str(tmp_path)]
+        assert main(args) == 0
+        assert len(smallest) == 4 and all(w < 0 for w in smallest)
 
     def test_bench_records_model_parameters(self, tmp_path):
         args = ["bench", "--n-max", "4", "--model", "dasgupta", "--beta", "0.5", "--out", str(tmp_path)]
@@ -642,4 +679,7 @@ class TestCliOutputDigest:
         for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
             digest.update(str(path.relative_to(tmp_path)).encode())
             digest.update(_masked_bytes(path))
-        assert digest.hexdigest()[:16] == "afaa0934edf911a7"
+        # re-recorded when the Dasgupta and correlation fills took separable
+        # terms: only the log_z of map_dasgupta and marginal moved, in the
+        # last bits (relative 2.4e-16 and 9.9e-16)
+        assert digest.hexdigest()[:16] == "5124e3d87730a006"

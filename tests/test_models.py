@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from hctrellis import (
@@ -15,6 +16,7 @@ from hctrellis import (
     GinkgoModel,
     GroundSet,
     Hierarchy,
+    JetConfig,
     LOG_ZERO,
     ModelParams,
     PairwiseWeights,
@@ -32,6 +34,8 @@ from hctrellis.models import (
 )
 
 from conftest import MODEL_KINDS, ScalarOnlyModel, exact_leaf_jet, make_model
+
+NONFINITE = [math.nan, math.inf, -math.inf]
 
 A, B, C, D = 1, 2, 4, 8
 
@@ -84,6 +88,13 @@ class TestDasgupta:
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
             DasguptaModel(PairwiseWeights.from_triples(2, [(0, 1, -1.0)]))
+
+    def test_rejects_beta_whose_scale_overflows(self):
+        # beta * |P| = inf times a zero cut made psi, and log Z, NaN
+        weights = PairwiseWeights.from_triples(3, [(0, 1, 1.0)])
+        with pytest.raises(ValueError, match="overflows"):
+            DasguptaModel(weights, beta=1e308)
+        assert DasguptaModel(weights, beta=5e307).log_psi(A, C) == 0.0
 
     def test_overlap_rejected(self):
         model = DasguptaModel(PairwiseWeights.from_triples(3, [(0, 1, 1.0)]))
@@ -540,15 +551,85 @@ class TestPriming:
         assert model._t._table is not None and model._t._memo == {}
 
 
+@st.composite
+def separable_models(draw):
+    """Dasgupta over nonnegative weights or correlation over signed
+    affinities, n = 2..8, at a low, unit or high beta."""
+    n = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(("dasgupta", "correlation")))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    low = 0.0 if kind == "dasgupta" else -1.0
+    values = draw(st.lists(st.floats(low, 1.0), min_size=len(pairs), max_size=len(pairs)))
+    weights = PairwiseWeights.from_triples(n, [(i, j, v) for (i, j), v in zip(pairs, values)])
+    beta = draw(st.sampled_from((0.5, 1.0, 50.0, 400.0)))
+    cls = DasguptaModel if kind == "dasgupta" else CorrelationModel
+    return cls(weights, beta=beta)
+
+
+class TestSeparableTerms:
+    @settings(max_examples=60, deadline=None)
+    @given(separable_models())
+    def test_terms_sum_to_psi(self, model):
+        """c[P] + h[L] + h[R] is log psi at every split, to 1e-12 of the
+        size of the terms summed (each side rounds at that scale)."""
+        clusters = np.arange(1 << model.n)
+        sizes = np.bitwise_count(clusters)
+        for k in range(2, model.n + 1):
+            h, c = model.separable_terms(k)
+            parents = clusters[sizes == k]
+            lefts, rights = split_blocks(parents)
+            terms = (c[parents][:, None], h[lefts], h[rights])
+            error = np.abs(terms[0] + terms[1] + terms[2] - model.log_psi_pairs(lefts, rights))
+            scale = np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])
+            assert np.all(error <= 1e-12 * np.maximum(1.0, scale))
+
+    @pytest.mark.parametrize("kind", ("ginkgo", "constant"))
+    def test_default_is_none(self, kind):
+        model = make_model(kind, 5, seed=1)
+        assert model.separable_terms(3) is None
+        assert ScalarOnlyModel(make_model("dasgupta", 5, seed=1)).separable_terms(3) is None
+
+    @pytest.mark.parametrize("kind", ("dasgupta", "correlation"))
+    def test_returns_new_arrays(self, kind):
+        model = make_model(kind, 6, seed=2)
+        h, c = model.separable_terms(4)
+        saved = h.copy(), c.copy()
+        h[:] = np.nan
+        c[:] = np.nan
+        again = model.separable_terms(4)
+        assert all(np.array_equal(x, y) for x, y in zip(again, saved))
+
+    @pytest.mark.parametrize("kind", ("dasgupta", "correlation"))
+    def test_no_terms_where_they_could_overflow(self, kind):
+        weights = random_similarity_weights(8, 3)  # nonnegative: valid for both
+        cls = DasguptaModel if kind == "dasgupta" else CorrelationModel
+        assert all(cls(weights, beta=1e307).separable_terms(k) is None for k in range(2, 9))
+        assert all(cls(weights, beta=1e300).separable_terms(k) is not None for k in range(2, 9))
+
+
 class TestModelParams:
     def test_defaults_valid(self):
         p = ModelParams()
         assert p.beta == 1.0 and p.lam > 0
 
-    @pytest.mark.parametrize("kwargs", [{"beta": 0.0}, {"lam": -1.0}])
+    @pytest.mark.parametrize("kwargs", [{"beta": 0.0}, {"lam": -1.0}]
+                             + [{"beta": x} for x in NONFINITE] + [{"lam": x} for x in NONFINITE])
     def test_rejects_nonpositive(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive and finite"):
             ModelParams(**kwargs)
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_constructors_reject_nonfinite_rates(bad):
+    # NaN passed a `<= 0` check and gave NaN tables; inf gave -inf or NaN
+    weights = random_similarity_weights(4, 0)
+    for build in (lambda: DasguptaModel(weights, beta=bad),
+                  lambda: CorrelationModel(weights, beta=bad),
+                  lambda: GinkgoModel(exact_leaf_jet(4, 0).payloads, lam=bad),
+                  lambda: log_splitting_density(1.0, 2.0, bad),
+                  lambda: JetConfig(lam=bad)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build()
 
 
 def test_cross_size_mismatch_rejected():

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -33,6 +34,7 @@ from hctrellis.datasets import random_affinity_weights, random_similarity_weight
 
 from conftest import (
     MODEL_KINDS,
+    PsiPathModel,
     ScalarOnlyModel,
     exact_leaf_jet,
     make_model,
@@ -457,10 +459,12 @@ class TestLevelFill:
 
     @pytest.mark.parametrize("kind", MODEL_KINDS + ("forbidden-child",))
     def test_matches_per_parent_reference(self, kind):
+        """The psi path bit for bit; ``TestSeparableFill`` holds the
+        separable one to it."""
         if kind == "forbidden-child":  # every cell holding leaf 0 sums only -inf
             model = _ForbiddenChildModel(9, forbidden=1)
         else:
-            model = make_model(kind, 9, seed=2)
+            model = PsiPathModel(make_model(kind, 9, seed=2))
         trellis = self.filled(model)
         log_z, log_map, child = reference_fill(model)
         assert np.array_equal(trellis.log_map_table, log_map)
@@ -492,6 +496,88 @@ class TestLevelFill:
             assert np.array_equal(getattr(trellis, table), getattr(flat, table))
         assert np.array_equal(trellis._log_marginals(), flat._log_marginals())
         assert trellis.sample_many(300, seed=8) == flat.sample_many(300, seed=8)
+
+
+def assert_near(got, expected):
+    """Equal to 1e-12 * max(1, |expected|) per cell, -inf cells alike, no NaN."""
+    assert not np.isnan(got).any() and not np.isnan(expected).any()
+    assert np.array_equal(np.isneginf(got), np.isneginf(expected))
+    finite = np.isfinite(expected)
+    error = np.abs(got[finite] - expected[finite])
+    assert np.all(error <= 1e-12 * np.maximum(1.0, np.abs(expected[finite])))
+
+
+class TestSeparableFill:
+    """Dasgupta and correlation score splits from per-cluster terms; the
+    fill, the outside pass and the draw weights equal those of the psi
+    path, which calls log_psi_pairs per split, to rounding."""
+
+    @staticmethod
+    def assert_matches_psi_path(model, psi_model):
+        sep, ref = (DenseTrellis(GroundSet(model.n), m) for m in (model, psi_model))
+        assert_near(sep.log_z_table, ref.log_z_table)
+        assert_near(sep.log_map_table, ref.log_map_table)
+        assert_near(sep._log_marginals(), ref._log_marginals())
+        # a backpointer may move only between tied splits: the new one
+        # scores the psi path's maximum
+        moved = np.flatnonzero(sep._map_child != ref._map_child)
+        lefts = sep._map_child[moved]
+        best = ref.log_map_table
+        score = model.log_psi_pairs(lefts, moved ^ lefts) + best[lefts] + best[moved ^ lefts]
+        assert_near(score, best[moved])
+        for level in sep._levels():
+            assert_near(*(np.concatenate([cum for _, cum in t._split_cums(level)])
+                          for t in (sep, ref)))
+        return sep, ref
+
+    @pytest.mark.parametrize("kind", ("dasgupta", "correlation"))
+    @pytest.mark.parametrize("n", (10, 12, 14))
+    def test_matches_psi_path(self, kind, n):
+        model = make_model(kind, n, seed=n)
+        # scalar psi batched by the base class is the flat batched psi bit
+        # for bit (TestLevelFill), and it is slow, so it runs at n = 10
+        self.assert_matches_psi_path(model, (ScalarOnlyModel if n == 10 else PsiPathModel)(model))
+
+    @pytest.mark.parametrize("cls", (DasguptaModel, CorrelationModel))
+    def test_overflowing_beta_takes_the_psi_path(self, cls):
+        weights = random_similarity_weights(7, 4)
+        model = cls(weights, beta=1e307)  # beta * n * W(full) overflows
+        sep, ref = (DenseTrellis(GroundSet(7), m) for m in (model, PsiPathModel(model)))
+        with np.errstate(over="ignore"):  # psi itself overflows to -inf
+            for table in ("log_z_table", "log_map_table", "_map_child"):
+                assert np.array_equal(getattr(sep, table), getattr(ref, table))
+                assert not np.isnan(getattr(sep, table)).any()
+            if sep.log_partition() > LOG_ZERO:  # Dasgupta's is zero: every cut overflows
+                assert np.array_equal(sep._log_marginals(), ref._log_marginals())
+
+    @pytest.mark.parametrize("cls", (DasguptaModel, CorrelationModel))
+    def test_terms_near_overflow_give_no_nan(self, cls):
+        model = cls(random_similarity_weights(7, 4), beta=1e300)
+        assert model.separable_terms(7) is not None  # terms near 1e302
+        sep, ref = (DenseTrellis(GroundSet(7), m) for m in (model, PsiPathModel(model)))
+        assert_near(sep.log_z_table, ref.log_z_table)
+        assert_near(sep.log_map_table, ref.log_map_table)
+        # marginals here are differences of values near 1e302, rounding
+        # noise on both paths, so only their NaN-freedom is checked
+        assert not np.isnan(sep._log_marginals()).any()
+        for level in sep._levels():
+            assert not any(np.isnan(cum).any() for _, cum in sep._split_cums(level))
+
+    def test_fill_holds_two_extra_tables(self):
+        """The level's (h, c) become table + h for log Z and log MAP, not
+        two more tables beside them."""
+        n = 16
+        model = make_model("dasgupta", n, seed=1)
+        peaks = []
+        for m in (model, PsiPathModel(model)):
+            trellis = DenseTrellis(GroundSet(n), m)
+            tracemalloc.start()
+            try:
+                trellis.log_partition()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] - peaks[1] <= 2 * (8 << n)
 
 
 class TestMarginals:
@@ -726,23 +812,46 @@ class TestSampling:
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_each_distribution_is_built_once(self, kind):
-        """Each sample_many call evaluates psi for exactly the splits of the
-        distinct non-singleton nodes it visits, each node once."""
+        """Each sample_many call scores exactly the splits of the distinct
+        non-singleton nodes it visits, each node once."""
         n = 10
         trellis = DenseTrellis(GroundSet(n), make_model(kind, n, seed=4))
         trellis.log_partition()
         terms = []
-        psi_pairs = trellis.model.log_psi_pairs
+        scored_chunks = trellis._scored_chunks
 
-        def counting(lefts, rights):
-            terms.append(np.size(lefts))
-            return psi_pairs(lefts, rights)
+        def counting(levels, tables):
+            for chunk in scored_chunks(levels, tables):
+                terms.append(chunk[1].size)
+                yield chunk
 
-        trellis.model.log_psi_pairs = counting
+        trellis._scored_chunks = counting
         for count, seed in ((300, 1), (300, 1), (700, 2)):
             terms.clear()
             visited = {v for h in trellis.sample_many(count, seed) for v in h.children}
             assert sum(terms) == sum((1 << (popcount(v) - 1)) - 1 for v in visited)
+
+    @pytest.mark.parametrize("kind", ("dasgupta", "constant"))
+    def test_split_weights_stay_in_chunks(self, kind):
+        """A size pass builds and searches its split weights one chunk of
+        distinct vertices at a time, not as one (vertices x splits) block
+        (1820 x 2047 doubles, 28 MiB, here)."""
+        n = 16
+        trellis = DenseTrellis(GroundSet(n), make_model(kind, n, seed=1))
+        trellis.log_partition()
+        rng = np.random.default_rng(0)
+        vertices = rng.choice(next(trellis._levels([12])), 2000)
+        u = rng.random(vertices.size)
+        tracemalloc.start()
+        try:
+            lefts = trellis._pick_lefts(vertices, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all((lefts & ~vertices) == 0) and np.all(np.bitwise_count(lefts) < 12)
+        # two cluster tables of separable terms, chunk blocks of
+        # FILL_CHUNK_TERMS doubles and per-draw arrays
+        assert peak < 2 * (8 << n) + 8 * 8 * htrellis.FILL_CHUNK_TERMS
 
     def test_sampling_leaves_no_state(self):
         """Draws only read the filled trellis, so sharing it needs no lock."""
@@ -805,17 +914,21 @@ class TestFrozenOutputs:
         assert output_digest(*trellis.sample_many(2000, seed=(7, 14))) == draws
 
     @pytest.mark.parametrize("kind, n, tables", [
+        ("constant", 9, "a4967576cb705592"),
+        ("constant", 12, "6d4165a7d123d2a6"),
         ("ginkgo", 9, "3902a8b386f195fe"),
         ("ginkgo", 12, "b8013a4ee0b0f998"),
-        ("dasgupta", 9, "a40ab17f4df40b90"),
-        ("dasgupta", 12, "e947c288135c40d8"),
-        ("correlation", 9, "a037214119e57944"),
-        ("correlation", 12, "c40273e463c40f84"),
+        ("dasgupta", 9, "8bbbe83c9d15a28e"),
+        ("dasgupta", 12, "d12444b4b99d4cb6"),
+        ("correlation", 9, "807472c6b035d056"),
+        ("correlation", 12, "6726e4ed51083032"),
     ])
     def test_table_digest(self, kind, n, tables):
         """Every cell of log Z, log MAP, the backpointers and the cluster
-        marginals, bit for bit, as recorded before the fill scored 2-D
-        blocks."""
+        marginals, bit for bit.  Ginkgo's were recorded before the fill
+        scored 2-D blocks, constant's before the fill took separable
+        terms, and Dasgupta's and correlation's when it did: their cells
+        moved by rounding only (TestSeparableFill)."""
         trellis = DenseTrellis(GroundSet(n), make_model(kind, n, seed=5))
         digest = output_digest(
             trellis.log_z_table, trellis.log_map_table, trellis._map_child,
