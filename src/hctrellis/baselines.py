@@ -110,6 +110,7 @@ def _rollout_bonus(rows: np.ndarray, depth: int, psi_pairs) -> np.ndarray:
     return bonus
 
 
+@np.errstate(over="ignore")  # scores past the float range are -inf
 def beam_search_forest(
     model: PotentialModel,
     beam_width: int | None = None,

@@ -125,10 +125,10 @@ def cmd_map(args, out: Path) -> int:
         op_count=trellis.operation_count(), tree_file=tree_path.name,
     )
     print(f"n={ds.n} log_map={value:.12g} log_z={log_z:.12g} tree={tree_path}")
-    if args.model == "dasgupta":
-        print(f"cut_cost={-value / args.beta:.12g}")
-    if value == float("-inf"):
+    if value == float("-inf"):  # then the tree is an arbitrary one
         print("degenerate instance: every hierarchy has zero potential", file=sys.stderr)
+    elif args.model == "dasgupta":
+        print(f"cut_cost={-value / args.beta:.12g}")
     return 0
 
 

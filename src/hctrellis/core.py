@@ -364,12 +364,6 @@ def grow_hierarchy(root: int, split) -> Hierarchy:
     return Hierarchy.from_canonical(root, children)
 
 
-def draw_index(cum: np.ndarray, rng: np.random.Generator) -> int:
-    """Index i with probability (cum[i] - cum[i-1]) / cum[-1], from one uniform."""
-    u = rng.random() * cum[-1]
-    return min(int(np.searchsorted(cum, u, side="right")), cum.size - 1)
-
-
 def relabel_hierarchy(h: Hierarchy, perm: list[int]) -> Hierarchy:
     """Rebuild ``h`` with leaf i renamed to perm[i]."""
 

@@ -386,6 +386,7 @@ class DasguptaModel(PotentialModel):
         cut = self._sums.get(parent) - self._sums.get(left) - self._sums.get(right)
         return (-self.beta * popcount(parent)) * cut
 
+    @np.errstate(over="ignore")  # past the float range psi is 0: -inf
     def log_psi_pairs(self, lefts, rights) -> np.ndarray:
         parents, lefts, rights, shape = _split_rows(lefts, rights)
         cut = self._sums.get_many(parents) - self._sums.get_many(lefts)
@@ -431,6 +432,7 @@ class CorrelationModel(PotentialModel):
         energy = cross_pos - self._neg2.get(left) - self._neg2.get(right)
         return (-self.beta) * energy
 
+    @np.errstate(over="ignore")  # past the float range psi is 0 (-inf) or +inf
     def log_psi_pairs(self, lefts, rights) -> np.ndarray:
         parents, lefts, rights, shape = _split_rows(lefts, rights)
         energy = self._pos.get_many(parents) - self._pos.get_many(lefts)
@@ -542,4 +544,8 @@ def log_hierarchy_potential(h: Hierarchy, model: PotentialModel) -> float:
     value is independent of traversal order.
     """
     h.validate(n=model.n)
-    return math.fsum(model.log_psi(l, r) for l, r in h.sibling_pairs())
+    terms = [model.log_psi(l, r) for l, r in h.sibling_pairs()]
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # fsum refuses a sum past the float range: take its infinity
+        return sum(terms)

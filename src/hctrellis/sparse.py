@@ -22,16 +22,18 @@ term is x, which is what ``log_sum_exp([x])`` returns; MAP keeps the first
 maximum of each segment.  So every value is bit-identical to a per-vertex
 recursion over the same pairs.
 
-MAP trees and draws come from ``core.grow_hierarchy``, which also builds
-dense MAP trees: the MAP rule reads the stored best pair, and the sampler
-draws no uniform at a vertex with a single pair.
+MAP trees and draws come from ``core.grow_hierarchy``: the MAP rule reads
+the stored best pair, and a draw bisects the running weights the fill
+writes beside each ``log_sum_exp`` (none at a single-pair vertex).
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +42,6 @@ from .core import (
     LOG_ZERO,
     GroundSet,
     Hierarchy,
-    draw_index,
     grow_hierarchy,
     log_sum_exp,
     lowest_leaf,
@@ -287,7 +288,6 @@ class SparseEvaluation:
         self.trellis = trellis
         self.model = model
         self._table = trellis._table
-        self._sample_cache: dict[int, np.ndarray] = {}
         self._fill()
 
     def _fill(self) -> None:
@@ -298,22 +298,26 @@ class SparseEvaluation:
         self._log_z = log_z = np.zeros(len(table.bits))  # singletons: log 1
         map_val = np.zeros(len(table.bits))
         self._map_edge = np.zeros(len(table.bits), dtype=np.intp)
-        self._z_terms = np.empty(len(psi))  # flat, by edge: the sampler's weights
+        self._cum = cum = [0.0] * len(psi)  # by edge: running sums of exp(t - max t)
         first = table.first
         for parents, edges, starts in table.levels():
             p, left, right = psi[edges], table.left[edges], table.right[edges]
             z_terms = p + log_z[left] + log_z[right]
             m_terms = p + map_val[left] + map_val[right]
-            self._z_terms[edges] = z_terms
             num_pairs = table.num_pairs[parents]
             # x + 0.0 is log_sum_exp([x]) at a single-pair parent; the others
             # are overwritten with their own log_sum_exp
             log_z[parents] = z_terms[starts] + 0.0
             multi = np.flatnonzero(num_pairs > 1)
             if multi.size:
+                shift = np.maximum.reduceat(z_terms, starts)
+                shift[shift == LOG_ZERO] = 0.0  # a zero-mass vertex keeps zero weights
+                weights = np.exp(z_terms - np.repeat(shift, num_pairs)).tolist()
                 terms, e0 = z_terms.tolist(), edges.start
                 for v in (parents.start + multi).tolist():
-                    log_z[v] = log_sum_exp(terms[first[v] - e0 : first[v + 1] - e0])
+                    a, b = first[v], first[v + 1]
+                    log_z[v] = log_sum_exp(terms[a - e0 : b - e0])
+                    cum[a:b] = accumulate(weights[a - e0 : b - e0])
             # first maximum of each segment, as the dense backpointer keeps
             top = np.maximum.reduceat(m_terms, starts)
             pos = np.arange(len(m_terms))
@@ -331,25 +335,17 @@ class SparseEvaluation:
         tree = grow_hierarchy(self.trellis.root, lambda v: pairs[edge[ids[v]]][0])
         return log_hierarchy_potential(tree, self.model), tree
 
-    def _split_distribution(self, i: int) -> np.ndarray:
-        cum = self._sample_cache.get(i)
-        if cum is None:
-            first = self._table.first
-            terms = self._z_terms[first[i] : first[i + 1]]
-            cum = np.cumsum(np.exp(terms - terms.max()))
-            self._sample_cache[i] = cum
-        return cum
-
     def sample(self, rng: np.random.Generator) -> Hierarchy:
         if self.log_partition() == LOG_ZERO:
             raise ValueError("degenerate posterior: restricted partition function is zero")
-        pairs, ids, first = self._table.pairs, self._table.ids, self._table.first
+        pairs, ids, first, cum = self._table.pairs, self._table.ids, self._table.first, self._cum
 
         def draw(v: int) -> int:
             i = ids[v]
-            if first[i + 1] - first[i] == 1:
-                return pairs[first[i]][0]  # a single pair needs no uniform
-            return pairs[first[i] + draw_index(self._split_distribution(i), rng)][0]
+            e, last = first[i], first[i + 1] - 1
+            if e < last:  # a single pair needs no uniform; hi = last clamps u * total
+                e = bisect_right(cum, rng.random() * cum[last], e, last)
+            return pairs[e][0]
 
         return grow_hierarchy(self.trellis.root, draw)
 

@@ -147,7 +147,7 @@ class DenseTrellis:
         map_child = np.zeros(size, dtype=np.int64)
         ops = 0
         chunks = self._scored_chunks(self._levels(), (log_z, log_map))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for parents, subs, _, const, (z_terms, m_terms) in chunks:
                 top = z_terms.max(axis=1)
                 shift = np.where(top == LOG_ZERO, 0.0, top)  # all-zero rows stay -inf
@@ -221,7 +221,7 @@ class DenseTrellis:
         log_p = np.full(full + 1, LOG_ZERO)
         log_p[full] = 0.0
         chunks = self._scored_chunks(self._levels(range(n, 1, -1)), (log_z,))
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             for parents, lefts, rights, const, (t,) in chunks:
                 above = log_p[parents]  # final: every superset has handed down its share
                 # P(P) is -inf wherever Z(P) is, and -inf - -inf would be NaN
@@ -349,8 +349,9 @@ class DenseTrellis:
             raise ValueError("degenerate posterior: partition function is zero")
         rng = np.random.default_rng(seed)
         draws = []
-        for lo in range(0, count, SAMPLE_CHUNK_DRAWS):
-            draws += self._draw_batch(min(SAMPLE_CHUNK_DRAWS, count - lo), rng)
+        with np.errstate(over="ignore"):  # split terms past the float range are -inf
+            for lo in range(0, count, SAMPLE_CHUNK_DRAWS):
+                draws += self._draw_batch(min(SAMPLE_CHUNK_DRAWS, count - lo), rng)
         return draws
 
     # -- exact counting --------------------------------------------------------

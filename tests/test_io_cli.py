@@ -607,6 +607,35 @@ class TestCliModelBinding:
         assert (record["model"], record["beta"]) == ("dasgupta", 0.5) and "lam" in record
 
 
+class TestCliExtremeBeta:
+    """Past the float range a split's potential is zero: log psi, the tables
+    and the tree scores read -inf, with no warning on the way."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        path = tmp_path / "pw.json"
+        save_dataset(pairwise_dataset(random_similarity_weights(7, 4, 0.0, 5.0)), path)
+        return path
+
+    @pytest.mark.parametrize("command", ["z", "map", "baselines"])
+    def test_overflowing_beta_runs_clean(self, tmp_path, capsys, data, command):
+        args = [command, "--data", str(data), "--model", "dasgupta", "--beta", "1e307",
+                "--out", str(tmp_path)]
+        assert main(args) == 0
+        assert "internal error" not in capsys.readouterr().err
+        record = json.loads((tmp_path / "records.jsonl").read_text())
+        if command != "baselines":
+            assert record["log_z"] == float("-inf")
+
+    def test_degenerate_map_prints_no_cut_cost(self, tmp_path, capsys, data):
+        args = ["map", "--data", str(data), "--model", "dasgupta", "--beta", "1e307",
+                "--out", str(tmp_path)]
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        assert "log_map=-inf" in out and "cut_cost" not in out
+        assert "degenerate instance" in err
+
+
 # Every command at fixed seeds.  The digest covers each file written and
 # each stdout line, with wall-clock fields and temp paths masked, so a
 # refactor of the command layer that changes any output byte fails here.

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -252,14 +254,7 @@ class TestSampling:
     def test_frozen_digest(self, seed, model_kind, index, draws, best):
         # draws and MAP at fixed seeds hash to digests recorded before the
         # sparse walks went through core.grow_hierarchy
-        ordering = LeafOrdering("norm_ascending")
-        config = JetConfig(lam=1.5, seed=seed, leaf_count_filter=(8, 8))
-        st = build_simulator_trellis(config, 40, ordering)
-        if model_kind == "ginkgo":
-            jet = exact_leaf_jet(8, (seed, 100 + index))
-            model = GinkgoModel(ordering.order_payloads(jet.payloads), lam=1.5)
-        else:
-            model = DasguptaModel(random_similarity_weights(8, seed))
+        st, model = _sim_case(seed, model_kind, index)
         ev = st.evaluate(model)
         rng = np.random.default_rng((seed, index))
         assert output_digest(*[ev.sample(rng) for _ in range(200)]) == draws
@@ -276,16 +271,97 @@ class TestSampling:
     def test_frozen_log_partition(self, seed, model_kind, index, log_z):
         # the exact bits of log Z for the cases of test_frozen_digest, which
         # hashes only trees
-        ordering = LeafOrdering("norm_ascending")
-        config = JetConfig(lam=1.5, seed=seed, leaf_count_filter=(8, 8))
-        st = build_simulator_trellis(config, 40, ordering)
-        if model_kind == "ginkgo":
-            jet = exact_leaf_jet(8, (seed, 100 + index))
-            model = GinkgoModel(ordering.order_payloads(jet.payloads), lam=1.5)
-        else:
-            model = DasguptaModel(random_similarity_weights(8, seed))
+        st, model = _sim_case(seed, model_kind, index)
         assert st.evaluate(model).log_partition().hex() == log_z
 
+    def test_sampling_writes_nothing(self):
+        """An evaluation's attributes and array contents are the same before
+        and after 200 draws: the fill wrote everything the draws read."""
+
+        def state(ev):
+            out = {}
+            for name, value in vars(ev).items():
+                if isinstance(value, np.ndarray):
+                    value = (value.dtype.str, value.shape, value.tobytes())
+                elif isinstance(value, (list, dict)):
+                    value = repr(value)
+                out[name] = value
+            return out
+
+        st, model = _sim_case(1, "ginkgo", 0)
+        ev = st.evaluate(model)
+        before = state(ev)
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            ev.sample(rng)
+        assert state(ev) == before
+
+    def test_threads_drawing_from_one_evaluation(self):
+        """Threads sharing an evaluation each get the draws they would get
+        alone."""
+        st, model = _sim_case(2, "dasgupta", 9)
+        seeds = range(4)
+        expected = []
+        for s in seeds:
+            rng = np.random.default_rng(s)
+            expected.append([st.evaluate(model).sample(rng) for _ in range(100)])
+        shared = st.evaluate(model)
+        results = {}
+
+        def work(s):
+            rng = np.random.default_rng(s)
+            results[s] = [shared.sample(rng) for _ in range(100)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,)) for s in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [results[s] for s in seeds] == expected
+
+    def test_pick_rule_skips_zero_weight_and_clamps(self):
+        """Split i is min(searchsorted(cum, u * cum[-1], "right"), width - 1):
+        u = 0 passes a zero-weight leading pair, u = 1 - 2**-53 takes the
+        last pair, and a single-pair vertex spends no uniform."""
+
+        class Uniforms:
+            def __init__(self, *values):
+                self.values = list(values)
+
+            def random(self):
+                return self.values.pop(0)
+
+        st = build_from_trees(list(enumerate_hierarchies(3)))
+        root, pairs = st.root, st.vertices[st.root]
+        assert pairs[0] == (0b001, 0b110)  # zero weight: its child 0b110 is dead
+        ev = st.evaluate(_DeadSplits(3, {0b110}))
+        ids, log_z = st._table.ids, ev._log_z
+        terms = np.array([ev.model.log_psi(l, r) + log_z[ids[l]] + log_z[ids[r]] for l, r in pairs])
+        cum = np.cumsum(np.exp(terms - terms.max()))
+        assert cum[0] == 0.0
+        for u, expected in ((0.0, 1), (1 - 2.0**-53, len(pairs) - 1)):
+            i = min(int(np.searchsorted(cum, u * cum[-1], side="right")), len(pairs) - 1)
+            assert i == expected
+            rng = Uniforms(u)
+            assert ev.sample(rng).children[root] == pairs[i]
+            assert rng.values == []
+
+
+def _sim_case(seed, model_kind, index):
+    """The simulator trellis and model of one test_frozen_digest case."""
+    ordering = LeafOrdering("norm_ascending")
+    config = JetConfig(lam=1.5, seed=seed, leaf_count_filter=(8, 8))
+    st = build_simulator_trellis(config, 40, ordering)
+    if model_kind == "ginkgo":
+        jet = exact_leaf_jet(8, (seed, 100 + index))
+        return st, GinkgoModel(ordering.order_payloads(jet.payloads), lam=1.5)
+    return st, DasguptaModel(random_similarity_weights(8, seed))
 
 
 def _recursion(st, model):

@@ -543,12 +543,12 @@ class TestSeparableFill:
         weights = random_similarity_weights(7, 4)
         model = cls(weights, beta=1e307)  # beta * n * W(full) overflows
         sep, ref = (DenseTrellis(GroundSet(7), m) for m in (model, PsiPathModel(model)))
-        with np.errstate(over="ignore"):  # psi itself overflows to -inf
-            for table in ("log_z_table", "log_map_table", "_map_child"):
-                assert np.array_equal(getattr(sep, table), getattr(ref, table))
-                assert not np.isnan(getattr(sep, table)).any()
-            if sep.log_partition() > LOG_ZERO:  # Dasgupta's is zero: every cut overflows
-                assert np.array_equal(sep._log_marginals(), ref._log_marginals())
+        # psi itself overflows to -inf, with no warning
+        for table in ("log_z_table", "log_map_table", "_map_child"):
+            assert np.array_equal(getattr(sep, table), getattr(ref, table))
+            assert not np.isnan(getattr(sep, table)).any()
+        if sep.log_partition() > LOG_ZERO:  # Dasgupta's is zero: every cut overflows
+            assert np.array_equal(sep._log_marginals(), ref._log_marginals())
 
     @pytest.mark.parametrize("cls", (DasguptaModel, CorrelationModel))
     def test_terms_near_overflow_give_no_nan(self, cls):
@@ -780,6 +780,16 @@ class TestSampling:
         with pytest.raises(ValueError, match="degenerate posterior"):
             trellis.sample(rng)
         self.assert_spent(rng, 8, 0)
+
+    def test_split_terms_past_the_float_range_draw_clean(self):
+        """With log Z finite, some split terms psi * Z(L) * Z(R) of a drawn
+        vertex still pass the float range: they are -inf, with no warning,
+        and every draw joins the two heavy pairs first."""
+        weights = PairwiseWeights.from_triples(7, [(0, 1, 5.0), (2, 3, 5.0)])
+        trellis = DenseTrellis(GroundSet(7), DasguptaModel(weights, beta=5e306))
+        assert math.isfinite(trellis.log_partition())
+        for h in trellis.sample_many(50, 0):
+            assert 0b0011 in h.children and 0b1100 in h.children
 
     def test_threads_drawing_from_one_trellis(self):
         """Threads sharing a trellis read its filled tables and write nothing
