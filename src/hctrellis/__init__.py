@@ -38,7 +38,7 @@ from .models import (
     log_splitting_density,
 )
 from .trellis import DenseTrellis
-from .oracle import enumerate_hierarchies, oracle_summary, tree_potential
+from .oracle import enumerate_hierarchies, oracle_summary
 from .baselines import beam_search_cluster, beam_search_forest, greedy_cluster
 from .sparse import (
     LeafOrdering,
@@ -92,5 +92,4 @@ __all__ = [
     "popcount",
     "relabel_hierarchy",
     "split_term_count",
-    "tree_potential",
 ]

@@ -164,20 +164,6 @@ def pivot_splits_array(parent: np.ndarray) -> np.ndarray:
     return block.T.ravel()
 
 
-def pivot_split_at(parents: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Entry ``index`` of each parent's row of pivot_splits_array: the
-    pivot plus the leaves of the rest that the bits of ``index`` select,
-    lowest leaf first."""
-    left = parents & -parents
-    rest = parents ^ left
-    while index.any():
-        low = rest & -rest
-        left = left | low * (index & 1)
-        rest = rest ^ low
-        index = index >> 1
-    return left
-
-
 def split_term_count(n: int) -> int:
     """Number of split terms a full bottom-up pass over n leaves evaluates.
 

@@ -9,7 +9,6 @@ count and are cached per session.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Iterator
 
@@ -105,22 +104,6 @@ def enumerate_hierarchies(ground) -> Iterator[Hierarchy]:
     full = full_mask(n)
     for row in struct.rows:
         yield Hierarchy(full, {l | r: (l, r) for l, r in row})
-
-
-def tree_potential(h: Hierarchy, model: PotentialModel) -> float:
-    """Recompute a hierarchy's log potential by direct traversal."""
-    h.validate(n=model.n)
-    vals = []
-    stack = [h.root]
-    while stack:
-        node = stack.pop()
-        if popcount(node) < 2:
-            continue
-        left, right = h.children[node]
-        vals.append(model.log_psi(left, right))
-        stack.append(left)
-        stack.append(right)
-    return math.fsum(vals)
 
 
 class OracleSummary:

@@ -17,16 +17,19 @@ evaluated split.  Tree counts run over the same chunks, flattened, through
 Cluster marginals come from one outside pass over the same chunks, levels
 top-down: each split hands its share of the parent's probability to both
 children, summed in the log domain (high-beta marginals underflow a linear
-sum).  The first marginal query runs it; later queries are lookups.
+sum).  The first marginal query runs it; later queries are lookups.  A
+query is refused once one float step of log Z(root) passes 1e-6: the
+pass's differences of log values are then rounding noise.
 
 The MAP tree comes from ``core.grow_hierarchy``, shared with the sparse
 engine, reading the backpointers.  Posterior draws are batched instead:
 all draws walk down together, one cluster size per pass, each picking its
 splits from cumulative weights built once per call for every distinct
-vertex of the pass, one fill chunk at a time.  Sampling writes
-nothing to the trellis.  A draw spends one uniform per non-singleton
-node in preorder, two-leaf nodes included, so it equals the draw a
-one-node-at-a-time walk would make from the same generator.
+vertex of the pass, one fill chunk at a time, and reading its left child
+from the split block that chunk scored.  Sampling writes nothing to the
+trellis.  A draw spends one uniform per non-singleton node in preorder,
+two-leaf nodes included, so it equals the draw a one-node-at-a-time walk
+would make from the same generator.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .core import (
     GroundSet,
     Hierarchy,
     grow_hierarchy,
-    pivot_split_at,
     pivot_splits_array,
     tree_counts,
 )
@@ -235,16 +237,33 @@ class DenseTrellis:
         self._log_p = log_p
         return log_p
 
+    def _checked_marginals(self) -> np.ndarray:
+        """``_log_marginals``, refused when one float step of log Z(root)
+        passes 1e-6: the outside pass sums differences of log values that
+        large, and the identity sum of P(C) = n - 2 drifts by about two
+        such steps, so the marginals would be rounding noise.  Queries
+        build the table only through here, so once it exists they are
+        lookups."""
+        if self._log_p is not None:
+            return self._log_p
+        log_z = self.log_partition()
+        if log_z != LOG_ZERO and not np.spacing(abs(log_z)) <= 1e-6:
+            raise ValueError(
+                f"|log Z| = {abs(log_z):.6g} is too large for marginals: one float"
+                f" step of it is {np.spacing(abs(log_z)):.3g}"
+            )
+        return self._log_marginals()
+
     def marginal_cluster(self, bits: int) -> float:
         """log P(cluster appears in the hierarchy); 0.0 for root/singletons."""
         self._check_cluster(bits)
-        return float(self._log_marginals()[bits])
+        return float(self._checked_marginals()[bits])
 
     def marginal_subhierarchy(self, fragment: Hierarchy) -> float:
         """log P(the fragment appears intact, rooted at its own cluster)."""
         fragment.validate(n=self.ground.n)
         root = fragment.root
-        log_p = float(self._log_marginals()[root])
+        log_p = float(self._checked_marginals()[root])
         if log_p == LOG_ZERO:  # then Z(root) may be zero too
             return LOG_ZERO
         return log_p - float(self._log_z[root]) + log_hierarchy_potential(fragment, self.model)
@@ -252,49 +271,48 @@ class DenseTrellis:
     # -- posterior sampling ----------------------------------------------------
 
     def _split_cums(self, distinct: np.ndarray):
-        """Yield (parents, cum) per chunk of ``distinct``, ascending vertices
-        of one size: row i of cum holds the cumulative split weights
-        psi * Z(left) * Z(right) of parents[i] in pivot_splits_array
-        order, scaled by the row maximum.  A separable model's c[parent]
-        is constant along the row, so the scaling cancels it."""
+        """Yield (parents, lefts, cum) per chunk of ``distinct``, ascending
+        vertices of one size: row i of cum holds the cumulative split
+        weights psi * Z(left) * Z(right) of parents[i]'s splits, whose left
+        children are row i of lefts, scaled by the row maximum.  A
+        separable model's c[parent] is constant along the row, so the
+        scaling cancels it."""
         chunks = self._scored_chunks([distinct], (self._log_z,))
-        for parents, _, _, _, (terms,) in chunks:
+        for parents, lefts, _, _, (terms,) in chunks:
             terms -= terms.max(axis=1, keepdims=True)
-            yield parents, np.cumsum(np.exp(terms, out=terms), axis=1)
+            yield parents, lefts, np.cumsum(np.exp(terms, out=terms), axis=1)
 
     def _pick_lefts(self, vertices: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Left child drawn at each vertex, all of one size, from its uniform:
-        split i where i is min(searchsorted(cum, u * cum[-1], side="right"),
-        width - 1) over its row of ``_split_cums``.  The vertices are sorted
-        so each chunk of distinct vertices holds a run of them; a chunk's
-        rows are built, then searched at once by binary lifting."""
+        over the vertex's rows of ``_split_cums``, entry i of lefts where i
+        is min(searchsorted(cum, u * cum[-1], side="right"), width - 1).
+        The vertices are sorted so each chunk of distinct vertices holds a
+        run of them; a chunk's rows are built, then searched at once by
+        binary lifting."""
         order = np.argsort(vertices)
         ordered = vertices[order]
-        new = np.diff(ordered, prepend=0) != 0  # vertices are nonzero, so the first is new
-        first = np.append(np.flatnonzero(new), ordered.size)  # each distinct vertex's run
-        row = np.cumsum(new) - 1
         target = u[order]
-        width = (1 << (int(np.bitwise_count(ordered[0])) - 1)) - 1
-        count = np.empty(ordered.size, dtype=np.int64)  # entries <= target, as searchsorted counts
-        lo = 0
-        for parents, cum in self._split_cums(ordered[first[:-1]]):
-            a, b = first[lo], first[lo + parents.size]
+        # vertices are nonzero, so the first is kept
+        distinct = ordered[np.diff(ordered, prepend=0) != 0]
+        out = np.empty_like(vertices)
+        a = 0
+        for parents, lefts, cum in self._split_cums(distinct):
+            b = np.searchsorted(ordered, parents[-1], side="right")
+            width = cum.shape[1]
             flat = cum.ravel()
-            start = (row[a:b] - lo) * width - 1  # flat index of entry "-1" of each row
-            t = target[a:b]
-            t *= flat.take(start + width)
-            # width is 2**(k-1) - 1, the sum of all steps, so no probe
-            # passes the end of its row
-            pos = start.copy()
+            # flat index of the last entry of each draw's row
+            last = (np.searchsorted(parents, ordered[a:b]) + 1) * width - 1
+            t = target[a:b] * flat.take(last)
+            # lift from entry "-1" of the row: width is 2**(k-1) - 1, the
+            # sum of all steps, so no probe passes the end of its row
+            pos = last - width
             step = (width + 1) >> 1
             while step:
                 pos += step * (flat.take(pos + step) <= t)
                 step >>= 1
-            count[a:b] = pos - start
-            lo += parents.size
-        lefts = np.empty_like(vertices)
-        lefts[order] = pivot_split_at(ordered, np.minimum(count, width - 1))
-        return lefts
+            out[order[a:b]] = lefts.take(np.minimum(pos + 1, last))
+            a = b
+        return out
 
     def _draw_batch(self, count: int, rng: np.random.Generator) -> list[Hierarchy]:
         """``count`` posterior draws walked down together, one cluster size

@@ -18,7 +18,6 @@ from hctrellis.core import (
     lowest_leaf,
     mask_of,
     num_hierarchies,
-    pivot_split_at,
     pivot_splits,
     pivot_splits_array,
     popcount,
@@ -106,15 +105,6 @@ class TestPivotSplits:
         rng = np.random.default_rng(k)
         parents = [mask_of(rng.choice(22, size=k, replace=False)) for _ in range(12)]
         self.assert_batch_matches_scalar(parents)
-
-    @pytest.mark.parametrize("k", [2, 3, 6, 11])
-    def test_split_at_index_matches_batch(self, k):
-        rng = np.random.default_rng(k)
-        parents = np.array([mask_of(rng.choice(22, size=k, replace=False)) for _ in range(5)])
-        width = (1 << (k - 1)) - 1
-        index = np.tile(np.arange(width), parents.size)
-        lefts = pivot_split_at(np.repeat(parents, width), index)
-        assert np.array_equal(lefts, pivot_splits_array(parents))
 
     def test_batch_rejects_singletons_and_mixed_sizes(self):
         with pytest.raises(ValueError):

@@ -635,6 +635,25 @@ class TestCliExtremeBeta:
         assert "log_map=-inf" in out and "cut_cost" not in out
         assert "degenerate instance" in err
 
+    @pytest.mark.parametrize("beta", ["1e9", "1e307"])
+    def test_marginal_refuses_log_z_past_float_precision(self, tmp_path, capsys, beta):
+        """With |log Z| near 1.3e308 the outside pass gave P({0, 1}) = 7;
+        one float step of log Z must stay below 1e-6 for a marginal."""
+        path = tmp_path / "pw7.json"
+        save_dataset(pairwise_dataset(random_similarity_weights(7, 4)), path)
+        for query in (["--cluster", "0,1"], ["--cluster", "0"]):
+            args = ["marginal", "--data", str(path), "--model", "correlation",
+                    "--beta", beta, *query, "--out", str(tmp_path)]
+            assert main(args) == 2
+            out, err = capsys.readouterr()
+            assert "log_marginal" not in out and "too large for marginals" in err
+
+    def test_bench_times_the_outside_pass_past_marginal_precision(self, tmp_path):
+        args = ["bench", "--model", "correlation", "--beta", "1e12", "--n-min", "2",
+                "--n-max", "6", "--out", str(tmp_path)]
+        assert main(args) == 0
+        assert (tmp_path / "bench.csv").read_text().count("\n") == 6  # header and n = 2..6
+
 
 # Every command at fixed seeds.  The digest covers each file written and
 # each stdout line, with wall-clock fields and temp paths masked, so a

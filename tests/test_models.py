@@ -388,13 +388,18 @@ class TestHierarchyPotential:
         )
 
     def test_oracle_recomputation_is_exact(self):
-        from hctrellis import oracle_summary, tree_potential
+        """The oracle's MAP tree rescored in preorder, not in the children
+        dict's order, gives log_hierarchy_potential exactly, and the
+        oracle's own row sum to rounding."""
+        from hctrellis import oracle_summary
 
         for kind in MODEL_KINDS:
             model = make_model(kind, 6, seed=4)
             summary = oracle_summary(GroundSet(6), model)
             h = summary.map_hierarchy()
-            assert tree_potential(h, model) == log_hierarchy_potential(h, model)
+            terms = [model.log_psi(*h.children[v]) for v in h.preorder() if v in h.children]
+            assert math.fsum(terms) == log_hierarchy_potential(h, model)
+            assert summary.map_log_potential == pytest.approx(math.fsum(terms), rel=1e-12)
 
 
 class TestPairSumBackends:

@@ -526,7 +526,7 @@ class TestSeparableFill:
         score = model.log_psi_pairs(lefts, moved ^ lefts) + best[lefts] + best[moved ^ lefts]
         assert_near(score, best[moved])
         for level in sep._levels():
-            assert_near(*(np.concatenate([cum for _, cum in t._split_cums(level)])
+            assert_near(*(np.concatenate([cum for _, _, cum in t._split_cums(level)])
                           for t in (sep, ref)))
         return sep, ref
 
@@ -561,7 +561,7 @@ class TestSeparableFill:
         # noise on both paths, so only their NaN-freedom is checked
         assert not np.isnan(sep._log_marginals()).any()
         for level in sep._levels():
-            assert not any(np.isnan(cum).any() for _, cum in sep._split_cums(level))
+            assert not any(np.isnan(cum).any() for _, _, cum in sep._split_cums(level))
 
     def test_fill_holds_two_extra_tables(self):
         """The level's (h, c) become table + h for log Z and log MAP, not
@@ -862,6 +862,30 @@ class TestSampling:
         # two cluster tables of separable terms, chunk blocks of
         # FILL_CHUNK_TERMS doubles and per-draw arrays
         assert peak < 2 * (8 << n) + 8 * 8 * htrellis.FILL_CHUNK_TERMS
+
+    @pytest.mark.parametrize("k", (3, 6, 10))
+    def test_pick_rule_matches_scalar_reference(self, k):
+        """Each pick equals a per-vertex rebuild from scalar psi over
+        pivot_splits: Ginkgo takes the psi path, whose block terms are
+        log psi + Z[left] + Z[right] in that order, so they agree bit for
+        bit."""
+        n = 10
+        model = make_model("ginkgo", n, seed=3)
+        trellis = DenseTrellis(GroundSet(n), model)
+        z = trellis.log_z_table
+        rng = np.random.default_rng(k)
+        vertices = rng.choice(next(trellis._levels([k])), 500)
+        u = rng.random(vertices.size)
+        expected = {}
+        for v in np.unique(vertices).tolist():
+            lefts = list(pivot_splits(v))
+            t = np.array([model.log_psi(l, v ^ l) + z[l] + z[v ^ l] for l in lefts])
+            expected[v] = lefts, np.cumsum(np.exp(t - t.max()))
+        picks = []
+        for v, x in zip(vertices.tolist(), u.tolist()):
+            lefts, cum = expected[v]
+            picks.append(lefts[min(np.searchsorted(cum, x * cum[-1], "right"), len(lefts) - 1)])
+        assert trellis._pick_lefts(vertices, u).tolist() == picks
 
     def test_sampling_leaves_no_state(self):
         """Draws only read the filled trellis, so sharing it needs no lock."""
