@@ -22,9 +22,13 @@ term is x, which is what ``log_sum_exp([x])`` returns; MAP keeps the first
 maximum of each segment.  So every value is bit-identical to a per-vertex
 recursion over the same pairs.
 
-MAP trees and draws come from ``core.grow_hierarchy``: the MAP rule reads
-the stored best pair, and a draw bisects the running weights the fill
-writes beside each ``log_sum_exp`` (none at a single-pair vertex).
+The table also plans, once and model-free, the chains of single-pair
+vertices: picking a pair fixes every node reached through them, so the
+plan keeps, per stored pair, those nodes' tree entries and the multi-pair
+vertices the chains end at.  MAP trees and draws share one top-down walk
+over that plan that picks a pair only at multi-pair vertices, in preorder:
+the MAP rule reads the stored best pair, and a draw spends one uniform to
+bisect the running weights the fill writes beside each ``log_sum_exp``.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from .core import (
     LOG_ZERO,
     GroundSet,
     Hierarchy,
-    grow_hierarchy,
     log_sum_exp,
     lowest_leaf,
     num_hierarchies,
@@ -112,6 +115,14 @@ class _SplitTable:
     of one cluster size are one id range and the root is the last id.  The
     pairs of vertex i are the flat edges ``first[i]`` to ``first[i + 1]``,
     with child ids ``left`` and ``right``.
+
+    The forced-chain plan serves top-down walks.  A vertex with one pair
+    leaves no choice, so picking edge e also picks every node below it that
+    is reached through single-pair vertices only: ``entries[e]`` holds
+    those nodes' tree entries, (parent, pair) with e's own first, and
+    ``frontier[e]`` the multi-pair vertex ids the chains end at, in
+    preorder, reversed for a stack.  ``root_entries`` and ``root_frontier``
+    are the same for the root itself.
     """
 
     def __init__(self, vertices: dict[int, list[tuple[int, int]]]):
@@ -126,6 +137,29 @@ class _SplitTable:
         bounds = [i for i in range(1, len(sizes)) if sizes[i] != sizes[i - 1]]
         self.ranges = [(v0, v1) for v0, v1 in zip([0, *bounds], [*bounds, len(sizes)])
                        if sizes[v0] > 1]
+        self._plan_chains()
+
+    def _plan_chains(self) -> None:
+        # children come before parents in id order, so each vertex finds what
+        # its children pass on: a single-pair child its edge's plan, a
+        # multi-pair child itself as a frontier vertex, a singleton nothing
+        bits, pairs, first = self.bits.tolist(), self.pairs, self.first
+        lefts, rights = self.left.tolist(), self.right.tolist()
+        self.entries, self.frontier = [()] * len(pairs), [()] * len(pairs)
+        passed = []  # by id: (entries, reversed frontier) handed to a parent
+        for i, width in enumerate(self.num_pairs.tolist()):
+            for e in range(first[i], first[i] + width):
+                l_entries, l_frontier = passed[lefts[e]]
+                r_entries, r_frontier = passed[rights[e]]
+                self.entries[e] = ((bits[i], pairs[e]), *l_entries, *r_entries)
+                self.frontier[e] = r_frontier + l_frontier
+            if width == 1:
+                passed.append((self.entries[first[i]], self.frontier[first[i]]))
+            elif width:
+                passed.append(((), (i,)))
+            else:  # a singleton
+                passed.append(((), ()))
+        self.root_entries, self.root_frontier = passed[-1]
 
     def levels(self):
         """Yield (parents, edges, starts) per cluster size >= 2, bottom-up: the
@@ -331,23 +365,32 @@ class SparseEvaluation:
 
     def map_hierarchy(self) -> tuple[float, Hierarchy]:
         """Best realizable tree; the value is its recomputed potential."""
-        pairs, ids, edge = self._table.pairs, self._table.ids, self._map_edge
-        tree = grow_hierarchy(self.trellis.root, lambda v: pairs[edge[ids[v]]][0])
+        tree = self._walk(None)
         return log_hierarchy_potential(tree, self.model), tree
 
     def sample(self, rng: np.random.Generator) -> Hierarchy:
         if self.log_partition() == LOG_ZERO:
             raise ValueError("degenerate posterior: restricted partition function is zero")
-        pairs, ids, first, cum = self._table.pairs, self._table.ids, self._table.first, self._cum
+        return self._walk(rng)
 
-        def draw(v: int) -> int:
-            i = ids[v]
-            e, last = first[i], first[i + 1] - 1
-            if e < last:  # a single pair needs no uniform; hi = last clamps u * total
-                e = bisect_right(cum, rng.random() * cum[last], e, last)
-            return pairs[e][0]
-
-        return grow_hierarchy(self.trellis.root, draw)
+    def _walk(self, rng) -> Hierarchy:
+        """Grow a tree from the root along the forced-chain plan, picking an
+        edge only at multi-pair vertices, in preorder: the stored best edge
+        without ``rng``, else a draw spending one uniform."""
+        table, first, cum, best = self._table, self._table.first, self._cum, self._map_edge
+        entries, frontier = table.entries, table.frontier
+        children = dict(table.root_entries)
+        stack = list(table.root_frontier)
+        while stack:
+            i = stack.pop()
+            if rng is None:
+                e = best[i]
+            else:  # hi = last clamps u * total onto the last pair
+                last = first[i + 1] - 1
+                e = bisect_right(cum, rng.random() * cum[last], first[i], last)
+            children.update(entries[e])
+            stack.extend(frontier[e])
+        return Hierarchy.from_canonical(self.trellis.root, children)
 
     def sample_hierarchy(self, seed) -> Hierarchy:
         return self.sample(np.random.default_rng(seed))

@@ -21,8 +21,8 @@ sum).  The first marginal query runs it; later queries are lookups.  A
 query is refused once one float step of log Z(root) passes 1e-6: the
 pass's differences of log values are then rounding noise.
 
-The MAP tree comes from ``core.grow_hierarchy``, shared with the sparse
-engine, reading the backpointers.  Posterior draws are batched instead:
+The MAP tree comes from ``core.grow_hierarchy``, reading the
+backpointers; dense MAP is its only caller.  Posterior draws are batched:
 all draws walk down together, one cluster size per pass, each picking its
 splits from cumulative weights built once per call for every distinct
 vertex of the pass, one fill chunk at a time, and reading its left child

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -275,12 +276,13 @@ class TestSampling:
         assert st.evaluate(model).log_partition().hex() == log_z
 
     def test_sampling_writes_nothing(self):
-        """An evaluation's attributes and array contents are the same before
-        and after 200 draws: the fill wrote everything the draws read."""
+        """An evaluation's and its split table's attributes and array
+        contents are the same before and after 200 draws: the fill and the
+        table's walk plan hold everything the draws read."""
 
-        def state(ev):
+        def state(obj):
             out = {}
-            for name, value in vars(ev).items():
+            for name, value in vars(obj).items():
                 if isinstance(value, np.ndarray):
                     value = (value.dtype.str, value.shape, value.tobytes())
                 elif isinstance(value, (list, dict)):
@@ -290,11 +292,11 @@ class TestSampling:
 
         st, model = _sim_case(1, "ginkgo", 0)
         ev = st.evaluate(model)
-        before = state(ev)
+        before = state(ev), state(st._table)
         rng = np.random.default_rng(4)
         for _ in range(200):
             ev.sample(rng)
-        assert state(ev) == before
+        assert (state(ev), state(st._table)) == before
 
     def test_threads_drawing_from_one_evaluation(self):
         """Threads sharing an evaluation each get the draws they would get
@@ -411,6 +413,130 @@ def _wide_ginkgo(index: int) -> GinkgoModel:
     config = JetConfig(root=WIDE_ROOT, lam=1.5, seed=5, leaf_count_filter=(24, 24))
     jet = generate_jet(replace(config, seed=(5, 1000 + index)))
     return GinkgoModel(LeafOrdering("norm_ascending").order_payloads(jet.payloads), lam=1.5)
+
+
+class _CountingRng:
+    """A generator's uniforms, counted."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self.rng.random()
+
+
+def _node_walk(ev, rng) -> Hierarchy:
+    """One node at a time through core.grow_hierarchy: the stored best pair
+    without ``rng``, else bisect_right over the fill's running weights, with
+    no uniform at a single-pair vertex.  The reference for the plan walk."""
+    table, cum = ev._table, ev._cum
+
+    def split(v):
+        i = table.ids[v]
+        e, last = table.first[i], table.first[i + 1] - 1
+        if rng is None:
+            e = ev._map_edge[i]
+        elif e < last:
+            e = bisect_right(cum, rng.random() * cum[last], e, last)
+        return table.pairs[e][0]
+
+    return grow_hierarchy(ev.trellis.root, split)
+
+
+def _two_chain_trellis() -> SparseTrellis:
+    """8 leaves; root, 0x0f and 0xf0 hold one pair each, and the chains end
+    at the three-pair vertices 0x07 (left) and 0xe0 (right): 9 trees."""
+    vertices = {1 << i: [] for i in range(8)}
+    vertices.update({
+        0xFF: [(0x0F, 0xF0)],
+        0x0F: [(0x07, 0x08)],
+        0xF0: [(0x10, 0xE0)],
+        0x07: [(0x01, 0x06), (0x03, 0x04), (0x05, 0x02)],
+        0xE0: [(0x20, 0xC0), (0x60, 0x80), (0xA0, 0x40)],
+        0x06: [(0x02, 0x04)], 0x03: [(0x01, 0x02)], 0x05: [(0x01, 0x04)],
+        0xC0: [(0x40, 0x80)], 0x60: [(0x20, 0x40)], 0xA0: [(0x20, 0x80)],
+    })
+    return SparseTrellis(GroundSet(8), vertices)
+
+
+def _leaf_63_trellis() -> SparseTrellis:
+    """64 leaves: the chains peeling the highest and the lowest leaf, and
+    the balanced tree over aligned halves."""
+
+    def peel(bits, high):
+        children = {}
+        while bits.bit_count() > 1:
+            leaf = 1 << (bits.bit_length() - 1) if high else bits & -bits
+            children[bits] = (bits ^ leaf, leaf) if high else (leaf, bits ^ leaf)
+            bits ^= leaf
+        return children
+
+    balanced, spans = {}, [(0, 64)]
+    while spans:
+        lo, hi = spans.pop()
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            balanced[full_mask(hi) ^ full_mask(lo)] = (full_mask(mid) ^ full_mask(lo),
+                                                       full_mask(hi) ^ full_mask(mid))
+            spans += [(lo, mid), (mid, hi)]
+    root = full_mask(64)
+    return build_from_trees([Hierarchy(root, c) for c in (peel(root, True), peel(root, False), balanced)])
+
+
+class TestForcedChainWalk:
+    def _assert_matches_node_walk(self, st, model, draws=300, seed=7):
+        ev = st.evaluate(model)
+        assert ev.map_hierarchy()[1] == _node_walk(ev, None)
+        plan, reference = _CountingRng(seed), _CountingRng(seed)
+        for _ in range(draws):
+            spent = plan.calls
+            tree = ev.sample(plan)
+            assert tree == _node_walk(ev, reference)
+            assert plan.calls - spent == sum(len(st.vertices[v]) > 1 for v in tree.children)
+            assert plan.calls == reference.calls
+        assert plan.random() == reference.random()
+
+    @pytest.mark.parametrize("case", [
+        (1, "ginkgo", 0), (1, "dasgupta", 9), (2, "ginkgo", 1), (2, "dasgupta", 9),
+    ])
+    def test_simulator_trellises(self, case):
+        self._assert_matches_node_walk(*_sim_case(*case))
+
+    def test_wide_simulator_trellis(self):
+        self._assert_matches_node_walk(_wide_simulator_trellis(), _wide_ginkgo(3), draws=100)
+
+    def test_multi_pair_vertex_under_a_chain_on_each_side(self):
+        st = _two_chain_trellis()
+        table, ids = st._table, st._table.ids
+        assert st.count_trees() == 9
+        assert table.root_entries == ((0xFF, (0x0F, 0xF0)), (0x0F, (0x07, 0x08)), (0xF0, (0x10, 0xE0)))
+        assert table.root_frontier == (ids[0xE0], ids[0x07])  # reversed preorder
+        for seed in range(3):
+            self._assert_matches_node_walk(st, make_model("dasgupta", 8, seed=seed), seed=seed)
+
+    def test_single_tree_spends_no_uniform(self):
+        jet = exact_leaf_jet(9, 4)
+        st = build_from_trees([jet.tree])
+        assert st._table.root_frontier == ()
+        model = GinkgoModel(jet.payloads, lam=1.5)
+        rng = _CountingRng(0)
+        assert st.evaluate(model).sample(rng) == jet.tree and rng.calls == 0
+        self._assert_matches_node_walk(st, model, draws=20)
+
+    def test_leaf_63(self):
+        st = _leaf_63_trellis()
+        assert st.count_trees() > 3 and any(len(p) > 1 for p in st.vertices.values())
+        ev = st.evaluate(make_model("dasgupta", 64, seed=2))
+        rng = np.random.default_rng(63)
+        trees = [ev.map_hierarchy()[1], *(ev.sample(rng) for _ in range(50))]
+        for tree in trees:
+            assert st.realizes(tree)
+            keys = [v for parent, pair in tree.children.items() for v in (parent, *pair)]
+            assert all(type(v) is int and v > 0 for v in keys)
+            assert 1 << 63 in keys and set(tree.children) <= set(st.vertices)
+        self._assert_matches_node_walk(st, ev.model, draws=50)
 
 
 class TestSplitTable:
