@@ -133,6 +133,33 @@ def pivot_splits(parent: int) -> Iterator[int]:
         t = (t - rest) & rest
 
 
+def low_bits(bits: np.ndarray, count: int) -> Iterator[np.ndarray]:
+    """The lowest ``count`` leaves of each cluster of an int64 batch, one
+    array of single bits per leaf, lowest first."""
+    for _ in range(count):
+        low = bits & -bits
+        bits = bits ^ low
+        yield low
+
+
+def subset_block(first: np.ndarray, lows, width: int) -> np.ndarray:
+    """(width, len(first)) int64 block by doubling: row 0 is ``first``, and
+    each array of ``lows`` (single bits, one per column, as ``low_bits``
+    gives them) doubles the rows so far, ORing itself into their copies,
+    until ``width`` rows are written.  So column i lists first[i] | t over
+    the subsets t of its leaves in ``lows`` (at most all of them), row r
+    holding the b-th leaf iff bit b of r is set, and each doubling writes
+    whole rows."""
+    block = np.empty((width, first.size), dtype=np.int64)
+    block[0] = first
+    size = 1
+    for low in lows:
+        end = min(size << 1, width)
+        np.bitwise_or(block[: end - size], low, out=block[size:end])
+        size <<= 1
+    return block
+
+
 def pivot_splits_array(parent: np.ndarray) -> np.ndarray:
     """Same enumeration as pivot_splits, for a batch of parents.
 
@@ -140,9 +167,8 @@ def pivot_splits_array(parent: np.ndarray) -> np.ndarray:
     leaves, returns every parent's 2**(k-1) - 1 left children in one flat
     int64 array, parent by parent, ascending within each parent, so its
     reshape to (parents, 2**(k-1) - 1) is a view.  The block is built split
-    by split, so each doubling (one leaf at a time from the lowest) writes
-    whole rows, and transposed once at the end; the last doubling stops one
-    short of the entry that would rebuild the parent.
+    by split by ``subset_block`` and transposed once at the end; the last
+    doubling stops one short of the entry that would rebuild the parent.
     """
     k = int(np.bitwise_count(parent[0]))
     if np.any(np.bitwise_count(parent) != k):
@@ -150,18 +176,8 @@ def pivot_splits_array(parent: np.ndarray) -> np.ndarray:
     if k < 2:
         raise ValueError("cannot split a singleton cluster")
     pivot = parent & -parent
-    rest = parent ^ pivot
     width = (1 << (k - 1)) - 1
-    block = np.empty((width, parent.size), dtype=np.int64)
-    block[0] = pivot
-    size = 1
-    for _ in range(k - 1):
-        low = rest & -rest
-        rest = rest ^ low
-        end = min(size << 1, width)
-        np.bitwise_or(block[: end - size], low, out=block[size:end])
-        size <<= 1
-    return block.T.ravel()
+    return subset_block(pivot, low_bits(parent ^ pivot, k - 1), width).T.ravel()
 
 
 def split_term_count(n: int) -> int:

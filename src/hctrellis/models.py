@@ -332,11 +332,12 @@ class PotentialModel:
         flat = [self._log_psi(*sorted(pair)) for pair in pairs]
         return np.array(flat, dtype=np.float64).reshape(np.shape(lefts))
 
-    def separable_terms(self, k: int):
-        """``(h, c)`` with log psi(L, R) = c[L | R] + h[L] + h[R] up to
-        rounding for every split of a parent of ``k`` leaves, as two new
-        arrays over the 2**n cluster table, or None: psi is not separable
-        or could overflow.  The default is None."""
+    def separable_terms(self):
+        """``(u, c, scale)`` with log psi(L, R) = c[L | R] + scale[|L| +
+        |R|] * (u[L] + u[R]) up to rounding for every split, u and c new
+        arrays over the 2**n cluster table and scale indexed by the
+        parent's size, or None: psi is not separable or could overflow.
+        The default is None."""
         return None
 
     def prime(self, clusters) -> None:
@@ -394,12 +395,14 @@ class DasguptaModel(PotentialModel):
         cut *= -self.beta * popcounts(parents)
         return cut.reshape(shape)
 
-    def separable_terms(self, k: int):
+    def separable_terms(self):
         table = self._sums._table
         if table is None or not _bounded(self.beta * self.n, table[-1]):
             return None
-        h = table * (self.beta * k)
-        return h, -h
+        scale = self.beta * np.arange(self.n + 1, dtype=np.float64)
+        c = scale.take(np.bitwise_count(np.arange(table.size)))
+        c *= table
+        return table.copy(), np.negative(c, out=c), scale
 
 
 class CorrelationModel(PotentialModel):
@@ -442,13 +445,11 @@ class CorrelationModel(PotentialModel):
         energy *= -self.beta
         return energy.reshape(shape)
 
-    def separable_terms(self, k: int):
+    def separable_terms(self):
         pos, neg2 = self._pos._table, self._neg2._table
         if pos is None or not _bounded(self.beta * self.n, pos[-1] - neg2[-1]):
             return None
-        h = pos + neg2
-        h *= self.beta
-        return h, pos * -self.beta
+        return pos + neg2, pos * -self.beta, np.full(self.n + 1, float(self.beta))
 
 
 def _child_masses(t: np.ndarray) -> np.ndarray:
@@ -517,14 +518,16 @@ class GinkgoModel(PotentialModel):
     def log_psi_pairs(self, lefts, rights) -> np.ndarray:
         parents, lefts, rights, shape = _split_rows(lefts, rights)
         t_parent = self._t.get_many(parents)
+        del parents  # each temporary held is one more block-sized array
         tl = self._child_masses_of(lefts)
         tr = self._child_masses_of(rights)
         with np.errstate(all="ignore"):
-            # per parent: the densities' shared term, and the bound both
-            # child masses must stay below (-inf where t(P) <= 0)
-            base = self._log_norm - np.log(t_parent)
-            bound = np.where(t_parent > 0, t_parent, -np.inf)
-            invalid = ~(np.maximum(tl, tr) < bound)  # so is a +inf child mass
+            # child masses are >= 0 or +inf, so a t(P) <= 0 holds none
+            # below it, and a +inf child mass is never below it either
+            invalid = ~(np.maximum(tl, tr) < t_parent)
+            # per parent: the densities' shared term
+            base = np.log(t_parent)
+            np.subtract(self._log_norm, base, out=base)
             # per child: _density's operations in its order (products commute)
             tl /= t_parent
             tl *= self.lam

@@ -42,7 +42,9 @@ from .core import (
     GroundSet,
     Hierarchy,
     grow_hierarchy,
+    low_bits,
     pivot_splits_array,
+    subset_block,
     tree_counts,
 )
 from .models import PotentialModel, log_hierarchy_potential
@@ -68,6 +70,34 @@ def _split_chunks(levels):
             parents = level[lo : lo + step]
             lefts = pivot_splits_array(parents).reshape(parents.size, width)
             yield parents, lefts, parents[:, None] ^ lefts
+
+
+def _row_log_sum_exp(terms: np.ndarray) -> np.ndarray:
+    """log sum exp of each row of a 2-D block, shifted by the row's
+    maximum; ``terms`` is overwritten.  A row of -inf alone is -inf."""
+    top = terms.max(axis=1)
+    shift = np.where(top == LOG_ZERO, 0.0, top)  # all-zero rows stay -inf
+    terms -= shift[:, None]
+    return shift + np.log(np.exp(terms, out=terms).sum(axis=1))
+
+
+def _superset_chunks(level, full):
+    """Yield (clusters, supersets, rests) for the clusters of ``level`` (an
+    array of clusters that share a popcount j) in chunks of
+    ~FILL_CHUNK_TERMS terms: row i of ``supersets`` lists clusters[i] | S
+    over the nonempty subsets S of its complement, entry t adding the
+    complement's b-th lowest leaf iff bit b of t + 1 is set, so S holds
+    popcount(t + 1) leaves; ``rests`` is that block's S.  The complement's
+    leaves are split out once per level, so a chunk's block costs one
+    array operation per doubling."""
+    m = full.bit_count() - int(np.bitwise_count(level[0]))
+    lows = np.array(list(low_bits(full ^ level, m)))  # (m, clusters)
+    step = max(1, FILL_CHUNK_TERMS >> m)
+    for lo in range(0, level.size, step):
+        clusters = level[lo : lo + step]
+        rests = subset_block(np.zeros_like(clusters), lows[:, lo : lo + step], 1 << m)
+        rests = np.ascontiguousarray(rests[1:].T)
+        yield clusters, rests | clusters[:, None], rests
 
 
 def _pair_sums(table: np.ndarray, lefts, rights, lp=None) -> np.ndarray:
@@ -114,13 +144,15 @@ class DenseTrellis:
         block whose rows plus ``const`` are log psi + table[lefts] +
         table[rights].  Cells below a level must be final when it starts.
 
-        If the model gives the level's separable terms (h, c), a block is
-        (table + h)[lefts] + (table + h)[rights] and ``const`` is
-        c[parents], with at most two extra cluster tables held; otherwise
-        one psi call scores the chunk and ``const`` is None (zero)."""
+        If the model gives separable terms (u, c, scale), a level of k
+        leaves has h = u * scale[k], a block is (table + h)[lefts] +
+        (table + h)[rights] and ``const`` is c[parents]; otherwise one psi
+        call scores the chunk and ``const`` is None (zero).  The terms are
+        fetched per level, so at most two extra cluster tables are held:
+        kept across levels, u would be a third."""
         for level in levels:
-            shifted = h = None  # free the last level's tables first
-            terms = self.model.separable_terms(int(level[0]).bit_count())
+            shifted = None  # free the last level's tables first
+            terms = self.model.separable_terms()
             if terms is None:
                 for parents, lefts, rights in _split_chunks([level]):
                     lp = self.model.log_psi_pairs(lefts, rights)
@@ -128,9 +160,10 @@ class DenseTrellis:
                         _pair_sums(t, lefts, rights, lp) for t in tables
                     ]
                 continue
-            h, c = terms
+            h, c, scale = terms
             const = c.take(level)
             del terms, c
+            h *= scale[int(level[0]).bit_count()]
             # the last table is added into h itself
             shifted = [h + t for t in tables[:-1]] + [np.add(h, tables[-1], out=h)]
             lo = 0
@@ -151,10 +184,7 @@ class DenseTrellis:
         chunks = self._scored_chunks(self._levels(), (log_z, log_map))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for parents, subs, _, const, (z_terms, m_terms) in chunks:
-                top = z_terms.max(axis=1)
-                shift = np.where(top == LOG_ZERO, 0.0, top)  # all-zero rows stay -inf
-                z_terms -= shift[:, None]
-                z = shift + np.log(np.exp(z_terms, out=z_terms).sum(axis=1))
+                z = _row_log_sum_exp(z_terms)
                 best = np.argmax(m_terms, axis=1)  # first max = smallest bits
                 rows = np.arange(parents.size)
                 m = m_terms[rows, best]
@@ -214,26 +244,53 @@ class DenseTrellis:
             raise ValueError("cluster extends past the ground set")
 
     def _log_marginals(self) -> np.ndarray:
-        """log P(C) for every cluster C, from one top-down outside pass."""
+        """log P(C) for every cluster C, from one top-down outside pass: a
+        gather over each cluster's strict supersets P = C | S, levels from
+        n - 1 down to 2, so every superset is final when its level starts.
+        log P(C) = Z(C) + log sum over S of up(P) + log psi(C, S) + Z(S),
+        with up(P) = log P(P) - Z(P).  A separable model's terms give
+        log psi(C, S) = c(P) + s (u(C) + u(S)), s = scale[j + |S|] for C
+        of j leaves, and the term is (up + c)[P] + g[S] + s u(C), where
+        g = Z + s u is built once per level; otherwise one psi call per
+        chunk scores its pairs, smaller cluster first, as ``log_psi``
+        orders them.  Singletons are never written: they stay 0.0."""
         if self._log_p is not None:
             return self._log_p
         log_z, n, full = self.log_z_table, self.ground.n, self.ground.full
         if log_z[full] == LOG_ZERO:
             raise ValueError("degenerate posterior: partition function is zero")
+        terms = self.model.separable_terms()
+        # above[P] is up(P) + c(P) once P's level is done, c(P) before
+        u, above, scale = (None, np.zeros(full + 1), None) if terms is None else terms
+        del terms
+        sizes = None if u is None else np.bitwise_count(np.arange(full + 1))
         log_p = np.full(full + 1, LOG_ZERO)
         log_p[full] = 0.0
-        chunks = self._scored_chunks(self._levels(range(n, 1, -1)), (log_z,))
-        with np.errstate(invalid="ignore", over="ignore"):
-            for parents, lefts, rights, const, (t,) in chunks:
-                above = log_p[parents]  # final: every superset has handed down its share
-                # P(P) is -inf wherever Z(P) is, and -inf - -inf would be NaN
-                up = np.where(above == LOG_ZERO, LOG_ZERO, above - log_z[parents])
-                if const is not None:
-                    up += const
-                t += up[:, None]
-                np.logaddexp.at(log_p, lefts, t)
-                np.logaddexp.at(log_p, rights, t)
         log_p[1 << np.arange(n)] = 0.0
+        done = np.array([full])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for j, level in zip(range(n - 1, 1, -1), self._levels(range(n - 1, 1, -1))):
+                p = log_p[done]
+                # P(P) is -inf wherever Z(P) is, and -inf - -inf would be NaN
+                above[done] += np.where(p == LOG_ZERO, LOG_ZERO, p - log_z[done])
+                if u is not None:
+                    # s per cluster read as S; no S past n - j leaves is read
+                    g = scale.take(sizes + j, mode="clip")
+                    g *= u
+                    g += log_z
+                    s = scale[j + np.bitwise_count(np.arange(1, 1 << (n - j)))]
+                for cs, ps, ss in _superset_chunks(level, full):
+                    t = above.take(ps)
+                    if u is None:
+                        t += log_z.take(ss)
+                        col = cs[:, None]
+                        lo, hi = np.minimum(col, ss, out=ps), np.maximum(col, ss, out=ss)
+                        t += self.model.log_psi_pairs(lo.ravel(), hi.ravel()).reshape(t.shape)
+                    else:
+                        t += g.take(ss)
+                        t += np.multiply.outer(u.take(cs), s)
+                    log_p[cs] = log_z.take(cs) + _row_log_sum_exp(t)
+                done = level
         self._log_p = log_p
         return log_p
 

@@ -728,6 +728,8 @@ class TestCliOutputDigest:
             digest.update(str(path.relative_to(tmp_path)).encode())
             digest.update(_masked_bytes(path))
         # re-recorded when the Dasgupta and correlation fills took separable
-        # terms: only the log_z of map_dasgupta and marginal moved, in the
-        # last bits (relative 2.4e-16 and 9.9e-16)
-        assert digest.hexdigest()[:16] == "5124e3d87730a006"
+        # terms (only the log_z of map_dasgupta and marginal moved, in the
+        # last bits: relative 2.4e-16 and 9.9e-16), and when the outside
+        # pass became a gather (only fragment's log_marginal moved,
+        # relative 1.4e-15)
+        assert digest.hexdigest()[:16] == "434d5bbcd5f35ee7"

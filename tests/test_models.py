@@ -575,41 +575,50 @@ class TestSeparableTerms:
     @settings(max_examples=60, deadline=None)
     @given(separable_models())
     def test_terms_sum_to_psi(self, model):
-        """c[P] + h[L] + h[R] is log psi at every split, to 1e-12 of the
-        size of the terms summed (each side rounds at that scale)."""
+        """c[P] + scale[|P|] * (u[L] + u[R]) is log psi at every split,
+        to 1e-12 of the size of the terms summed (each side rounds at
+        that scale)."""
+        u, c, scale = model.separable_terms()
         clusters = np.arange(1 << model.n)
         sizes = np.bitwise_count(clusters)
         for k in range(2, model.n + 1):
-            h, c = model.separable_terms(k)
             parents = clusters[sizes == k]
             lefts, rights = split_blocks(parents)
-            terms = (c[parents][:, None], h[lefts], h[rights])
+            terms = (c[parents][:, None], scale[k] * u[lefts], scale[k] * u[rights])
             error = np.abs(terms[0] + terms[1] + terms[2] - model.log_psi_pairs(lefts, rights))
-            scale = np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])
-            assert np.all(error <= 1e-12 * np.maximum(1.0, scale))
+            magnitude = np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])
+            assert np.all(error <= 1e-12 * np.maximum(1.0, magnitude))
 
     @pytest.mark.parametrize("kind", ("ginkgo", "constant"))
     def test_default_is_none(self, kind):
         model = make_model(kind, 5, seed=1)
-        assert model.separable_terms(3) is None
-        assert ScalarOnlyModel(make_model("dasgupta", 5, seed=1)).separable_terms(3) is None
+        assert model.separable_terms() is None
+        assert ScalarOnlyModel(make_model("dasgupta", 5, seed=1)).separable_terms() is None
 
     @pytest.mark.parametrize("kind", ("dasgupta", "correlation"))
     def test_returns_new_arrays(self, kind):
         model = make_model(kind, 6, seed=2)
-        h, c = model.separable_terms(4)
-        saved = h.copy(), c.copy()
-        h[:] = np.nan
-        c[:] = np.nan
-        again = model.separable_terms(4)
+        terms = model.separable_terms()
+        saved = [x.copy() for x in terms]
+        for x in terms:
+            x[:] = np.nan
+        again = model.separable_terms()
         assert all(np.array_equal(x, y) for x, y in zip(again, saved))
 
     @pytest.mark.parametrize("kind", ("dasgupta", "correlation"))
     def test_no_terms_where_they_could_overflow(self, kind):
         weights = random_similarity_weights(8, 3)  # nonnegative: valid for both
         cls = DasguptaModel if kind == "dasgupta" else CorrelationModel
-        assert all(cls(weights, beta=1e307).separable_terms(k) is None for k in range(2, 9))
-        assert all(cls(weights, beta=1e300).separable_terms(k) is not None for k in range(2, 9))
+        assert cls(weights, beta=1e307).separable_terms() is None
+        assert cls(weights, beta=1e300).separable_terms() is not None
+
+    @pytest.mark.parametrize("cls", (DasguptaModel, CorrelationModel))
+    def test_integer_beta(self, cls):
+        """An int beta gives the float terms of the same float beta (an
+        int scale would make the outside pass's in-place products fail)."""
+        weights = random_similarity_weights(6, 3)
+        ints, floats = (cls(weights, beta=b).separable_terms() for b in (50, 50.0))
+        assert all(x.dtype == np.float64 and np.array_equal(x, y) for x, y in zip(ints, floats))
 
 
 class TestModelParams:
