@@ -143,13 +143,11 @@ def low_bits(bits: np.ndarray, count: int) -> Iterator[np.ndarray]:
 
 
 def subset_block(first: np.ndarray, lows, width: int) -> np.ndarray:
-    """(width, len(first)) int64 block by doubling: row 0 is ``first``, and
-    each array of ``lows`` (single bits, one per column, as ``low_bits``
-    gives them) doubles the rows so far, ORing itself into their copies,
-    until ``width`` rows are written.  So column i lists first[i] | t over
-    the subsets t of its leaves in ``lows`` (at most all of them), row r
-    holding the b-th leaf iff bit b of r is set, and each doubling writes
-    whole rows."""
+    """(width, len(first)) int64 block whose column i lists first[i] | t
+    over the first ``width`` subsets t of column i's bits in ``lows`` (as
+    ``low_bits`` gives them), row r holding the b-th bit iff bit b of r is
+    set.  Row 0 is ``first``; each array of ``lows`` doubles the rows so
+    far, so each doubling writes whole rows."""
     block = np.empty((width, first.size), dtype=np.int64)
     block[0] = first
     size = 1

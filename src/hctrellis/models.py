@@ -12,17 +12,22 @@ parent.  A 1-D input is read as one pair per row, and a higher-dimensional
 one as rows along its last axis.  Every pair scores the same bits whatever
 block it arrives in.
 
-A model may also offer ``separable_terms(k)``: when log psi of every split
-of a parent of k leaves is c(P) + h(L) + h(R) for per-cluster arrays h
-and c over the 2**n cluster table, it returns ``(h, c)``, two new arrays
-the caller may overwrite, and the dense trellis scores the level's splits
-from them with no psi call.  Those sums equal ``log_psi_pairs`` up to
+A model may also offer ``separable_terms()``: when log psi of every split
+is c(P) + scale[|P|] * (u(L) + u(R)) for per-cluster arrays u and c over
+the 2**n cluster table and a per-size array scale, it returns
+``(u, c, scale)``, new arrays the caller may overwrite, and the dense
+trellis scores splits from them with no psi call: the fill and the
+sampler form h = u * scale[k] per level of k leaves, the outside pass
+reads scale per superset size.  Those sums equal ``log_psi_pairs`` up to
 rounding, not bit for bit.  The default returns None, as does a model
 whose coefficient times its largest pair sum could overflow; psi is then
-scored per split.  Dasgupta's cost is additive, so h = beta*k*W and
-c = -beta*k*W; correlation has h = beta*(pos + 2 neg) and c = -beta*pos at
-every level.  Ginkgo's density divides a child's squared mass by the
-parent's, which couples the two, so it keeps the default.
+scored per split.  Dasgupta's cost is additive, so u = W, scale[k] =
+beta*k and c = -beta*|P|*W; correlation has u = pos + 2 neg, scale =
+beta at every size and c = -beta*pos.  Ginkgo's density divides a child's
+squared mass by the parent's, which couples the two, so it keeps the
+default.  Callers that score pairs of differing parents hand them to
+``log_psi_pairs`` flat and smaller cluster first, the order ``log_psi``
+gives ``_log_psi``.
 
 Scoring flavours:
 
@@ -381,6 +386,15 @@ class DasguptaModel(PotentialModel):
         self.beta = beta
         self.n = weights.n
         self._sums = _SubsetPairSums(weights.w)
+        # separable terms, built once (the fill asks per level) unless they
+        # could overflow; c[P] = -(W[P] * scale[|P|])
+        table = self._sums._table
+        self._terms = None
+        if table is not None and _bounded(beta * self.n, table[-1]):
+            scale = beta * np.arange(self.n + 1, dtype=np.float64)
+            c = scale.take(np.bitwise_count(np.arange(table.size)))
+            c *= table
+            self._terms = table, np.negative(c, out=c), scale
 
     def _log_psi(self, left: int, right: int) -> float:
         parent = left | right
@@ -396,13 +410,7 @@ class DasguptaModel(PotentialModel):
         return cut.reshape(shape)
 
     def separable_terms(self):
-        table = self._sums._table
-        if table is None or not _bounded(self.beta * self.n, table[-1]):
-            return None
-        scale = self.beta * np.arange(self.n + 1, dtype=np.float64)
-        c = scale.take(np.bitwise_count(np.arange(table.size)))
-        c *= table
-        return table.copy(), np.negative(c, out=c), scale
+        return None if self._terms is None else tuple(x.copy() for x in self._terms)
 
 
 class CorrelationModel(PotentialModel):

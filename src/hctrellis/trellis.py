@@ -3,23 +3,28 @@
 The trellis memoizes one cell per nonempty cluster, filled bottom-up one
 popcount level at a time.  Every cell only reads strictly smaller clusters,
 so a whole level is filled in chunks of parents.  A chunk is one 2-D block
-of splits, a row per parent, and one row-wise reduction.  Every pass that
-scores splits (fill, outside pass, sampler) takes its blocks from
-``_scored_chunks``: for a level where the model gives separable terms
-(h, c), a split's term is (table + h)[L] + (table + h)[R] plus c[P], which
-is constant along a row and so is added after the row's reduction;
+of splits, a row per parent, and one row-wise reduction.  The fill and the
+sampler take their blocks from ``_scored_chunks``: where the model gives
+separable terms (u, c, scale), a level of k leaves has h = u * scale[k],
+a split's term is (table + h)[L] + (table + h)[R] plus c[P], which is
+constant along a row and so is added after the row's reduction;
 otherwise one psi call scores the block.  The same single pass produces
 both the summed (partition function) and maxed (MAP) recursions plus MAP
 backpointers; the split-term counter therefore advances exactly once per
 evaluated split.  Tree counts run over the same chunks, flattened, through
 ``core.tree_counts``, the count kernel the sparse engine shares.
 
-Cluster marginals come from one outside pass over the same chunks, levels
-top-down: each split hands its share of the parent's probability to both
-children, summed in the log domain (high-beta marginals underflow a linear
-sum).  The first marginal query runs it; later queries are lookups.  A
-query is refused once one float step of log Z(root) passes 1e-6: the
-pass's differences of log values are then rounding noise.
+Cluster marginals come from one outside pass, levels top-down from n - 1
+to 2, as a gather: each cluster C gets one row over its strict supersets
+P = C | S, whose terms up(P) + log psi(C, S) + Z(S), with up(P) =
+log P(P) - Z(P), are all final when C's level starts.  The fill's row
+log-sum-exp reduces the row (high-beta marginals underflow a linear sum),
+and log P(C) = Z(C) + the row's value.  Separable terms score a row from
+per-cluster tables; otherwise one psi call per chunk scores its pairs,
+smaller cluster first.  The first marginal query runs the pass; later
+queries are lookups.  A query is refused once one float step of log
+Z(root) passes 1e-6: the pass's differences of log values are then
+rounding noise.
 
 The MAP tree comes from ``core.grow_hierarchy``, reading the
 backpointers; dense MAP is its only caller.  Posterior draws are batched:
@@ -83,13 +88,11 @@ def _row_log_sum_exp(terms: np.ndarray) -> np.ndarray:
 
 def _superset_chunks(level, full):
     """Yield (clusters, supersets, rests) for the clusters of ``level`` (an
-    array of clusters that share a popcount j) in chunks of
-    ~FILL_CHUNK_TERMS terms: row i of ``supersets`` lists clusters[i] | S
-    over the nonempty subsets S of its complement, entry t adding the
-    complement's b-th lowest leaf iff bit b of t + 1 is set, so S holds
-    popcount(t + 1) leaves; ``rests`` is that block's S.  The complement's
-    leaves are split out once per level, so a chunk's block costs one
-    array operation per doubling."""
+    array of clusters that share a popcount) in chunks of ~FILL_CHUNK_TERMS
+    terms: row i of ``rests`` lists the nonempty subsets S of clusters[i]'s
+    complement in ``subset_block`` order from entry 1, so entry t holds
+    popcount(t + 1) leaves, and ``supersets`` is clusters[i] | S.  The
+    complement's leaves are split out once per level."""
     m = full.bit_count() - int(np.bitwise_count(level[0]))
     lows = np.array(list(low_bits(full ^ level, m)))  # (m, clusters)
     step = max(1, FILL_CHUNK_TERMS >> m)
@@ -240,20 +243,16 @@ class DenseTrellis:
     def _check_cluster(self, bits: int) -> None:
         if bits == 0:
             raise ValueError("empty cluster")
-        if bits & ~self.ground.full:
+        if bits >> self.ground.n:  # a shift, not a mask built per query
             raise ValueError("cluster extends past the ground set")
 
     def _log_marginals(self) -> np.ndarray:
-        """log P(C) for every cluster C, from one top-down outside pass: a
-        gather over each cluster's strict supersets P = C | S, levels from
-        n - 1 down to 2, so every superset is final when its level starts.
-        log P(C) = Z(C) + log sum over S of up(P) + log psi(C, S) + Z(S),
-        with up(P) = log P(P) - Z(P).  A separable model's terms give
-        log psi(C, S) = c(P) + s (u(C) + u(S)), s = scale[j + |S|] for C
-        of j leaves, and the term is (up + c)[P] + g[S] + s u(C), where
-        g = Z + s u is built once per level; otherwise one psi call per
-        chunk scores its pairs, smaller cluster first, as ``log_psi``
-        orders them.  Singletons are never written: they stay 0.0."""
+        """log P(C) for every cluster C, from one top-down outside pass (see
+        the module docstring).  For C of j leaves, separable terms give the
+        term (up + c)[P] + g[S] + s u[C] with s = scale[j + |S|] and
+        g = Z + s u built once per level; otherwise one psi call per chunk
+        scores its pairs, smaller cluster first.  Singletons are never
+        written: they stay 0.0."""
         if self._log_p is not None:
             return self._log_p
         log_z, n, full = self.log_z_table, self.ground.n, self.ground.full
