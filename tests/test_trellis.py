@@ -655,7 +655,7 @@ class TestOutsidePass:
     def test_terms_near_overflow_match_scatter(self, cls):
         """At beta = 1e300 every marginal is a difference of values near
         |log Z| ~ 1e301, rounding noise on both passes (marginal queries
-        refuse them), so the two agree only to a float step of log Z."""
+        refuse them), so the two agree only to a few float steps of log Z."""
         trellis = DenseTrellis(GroundSet(7), cls(random_similarity_weights(7, 4), beta=1e300))
         got, expected = trellis._log_marginals(), reference_outside_pass(trellis)
         assert not np.isnan(got).any()
