@@ -63,11 +63,6 @@ def popcount(bits: int) -> int:
     return bits.bit_count()
 
 
-def popcounts(arr: np.ndarray) -> np.ndarray:
-    """Per-element popcount of an int64 cluster array."""
-    return np.bitwise_count(arr).astype(np.int64)
-
-
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -142,19 +137,27 @@ def low_bits(bits: np.ndarray, count: int) -> Iterator[np.ndarray]:
         yield low
 
 
-def subset_block(first: np.ndarray, lows, width: int) -> np.ndarray:
-    """(width, len(first)) int64 block whose column i lists first[i] | t
-    over the first ``width`` subsets t of column i's bits in ``lows`` (as
-    ``low_bits`` gives them), row r holding the b-th bit iff bit b of r is
-    set.  Row 0 is ``first``; each array of ``lows`` doubles the rows so
-    far, so each doubling writes whole rows."""
-    block = np.empty((width, first.size), dtype=np.int64)
+def subset_block(first: np.ndarray, steps, width: int) -> np.ndarray:
+    """The ascending-doubling kernel: a (width, *first.shape) block of
+    first's dtype whose row r is ``first`` plus step b for every set bit b
+    of r, added in ascending b.  Row 0 is ``first``; step b fills rows 2**b
+    onward, up to the width, with one ``np.add`` of the rows before them,
+    so it broadcasts against one row or against those 2**b rows.
+
+    Split and superset blocks add the disjoint single bits ``low_bits``
+    yields, where a sum is the union.  The models' per-cluster tables add
+    per-leaf terms in ascending leaf order, the order in which a cluster's
+    scalar value adds them, so the two agree bit for bit."""
+    block = np.empty((width, *first.shape), first.dtype)
     block[0] = first
     size = 1
-    for low in lows:
-        end = min(size << 1, width)
-        np.bitwise_or(block[: end - size], low, out=block[size:end])
-        size <<= 1
+    for step in steps:
+        end = size << 1
+        if end >= width:  # the last doubling, cut at the width
+            np.add(block[: width - size], step, out=block[size:])
+            break
+        np.add(block[:size], step, out=block[size:end])
+        size = end
     return block
 
 
@@ -342,26 +345,6 @@ class Hierarchy:
             raise ValueError("unreachable entries in the child map")
         if len(seen) != 2 * popcount(self.root) - 1:
             raise ValueError("node count is not 2k-1")
-
-
-def grow_hierarchy(root: int, split) -> Hierarchy:
-    """Build a hierarchy top-down from ``root``.
-
-    ``split(v)`` names the left child of v, the one holding v's lowest leaf;
-    the right child is the rest of v.  It is called exactly once for every
-    non-singleton node, in preorder with the left subtree first, so a
-    split rule that draws random numbers consumes them in a fixed order.
-    """
-    children: dict[int, tuple[int, int]] = {}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        if v.bit_count() > 1:
-            left = split(v)
-            children[v] = (left, v ^ left)
-            stack.append(v ^ left)
-            stack.append(left)
-    return Hierarchy.from_canonical(root, children)
 
 
 def relabel_hierarchy(h: Hierarchy, perm: list[int]) -> Hierarchy:

@@ -52,7 +52,7 @@ from .core import (
     Hierarchy,
     leaf_indices,
     popcount,
-    popcounts,
+    subset_block,
 )
 
 # Squared masses this far below zero are treated as rounding debris (the
@@ -172,10 +172,11 @@ class _ClusterTable:
     """One float per cluster, from a dense 2**n table when n is small enough,
     else from a flat memo filled by ``_value``.
 
-    Subclasses build the table by ascending doubling and compute ``_value``
-    by adding the cluster's leaves in ascending order, the same additions in
-    the same order, so the two backends agree bit for bit.  The memo is
-    append-only and holds plain floats.
+    Subclasses build the table with ``core.subset_block``, the ascending
+    doubling that also enumerates the trellis's splits, and compute
+    ``_value`` by adding the cluster's leaves in ascending order, the same
+    additions in the same order, so the two backends agree bit for bit.
+    The memo is append-only and holds plain floats.
     """
 
     def __init__(self, n: int):
@@ -209,17 +210,11 @@ class _SubsetPairSums(_ClusterTable):
         super().__init__(w.shape[0])
 
     def _build_table(self) -> np.ndarray:
-        n, w = self.n, self.w
-        table = np.zeros(1 << n)
-        for h in range(n):
-            base = 1 << h
-            # row[b] = sum of w[j][h] over leaves j in b, for b over leaves < h
-            row = np.zeros(base)
-            for j in range(h):
-                lo = 1 << j
-                row[lo : lo << 1] = row[:lo] + w[j, h]
-            table[base : base << 1] = table[:base] + row
-        return table
+        # table[b | 1 << h] = table[b] + row_h[b] for b over the leaves
+        # below h, row_h[b] summing w[j][h] over the leaves j of b
+        zero = np.zeros(())
+        rows = (subset_block(zero, self.w[:h, h], 1 << h) for h in range(self.n))
+        return subset_block(zero, rows, 1 << self.n)
 
     def _value(self, bits: int) -> float:
         leaves = leaf_indices(bits)
@@ -257,10 +252,7 @@ class _SubsetMass2(_ClusterTable):
 
     def _squared_sums(self, c: int) -> np.ndarray:
         # Component c summed over every cluster by ascending doubling, squared.
-        col = np.zeros(1 << self.n)
-        for h in range(self.n):
-            base = 1 << h
-            np.add(col[:base], self.payloads[h, c], out=col[base : base << 1])
+        col = subset_block(np.zeros(()), self.payloads[:, c], 1 << self.n)
         return np.multiply(col, col, out=col)
 
     def _value(self, bits: int) -> float:
@@ -382,6 +374,13 @@ class DasguptaModel(PotentialModel):
             raise ValueError("beta times the leaf count overflows")
         if np.any(weights.w < 0):
             raise ValueError("cut-cost weights must be nonnegative")
+        # Each leaf's pair weights to the leaves below it, summed, then those
+        # sums' running total, added as the pair-sum table adds them: every
+        # cluster's sum is a sub-sum of these nonnegative weights, no larger.
+        with np.errstate(over="ignore"):
+            total = np.cumsum(np.diagonal(np.cumsum(weights.w, axis=0), 1))
+        if not np.isfinite(total).all():
+            raise ValueError("the pair weights sum past the float range")
         self.weights = weights
         self.beta = beta
         self.n = weights.n
@@ -406,7 +405,7 @@ class DasguptaModel(PotentialModel):
         parents, lefts, rights, shape = _split_rows(lefts, rights)
         cut = self._sums.get_many(parents) - self._sums.get_many(lefts)
         cut -= self._sums.get_many(rights)
-        cut *= -self.beta * popcounts(parents)
+        cut *= -self.beta * np.bitwise_count(parents)
         return cut.reshape(shape)
 
     def separable_terms(self):
@@ -486,8 +485,15 @@ class GinkgoModel(PotentialModel):
         arr = np.asarray(rows, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != 4:
             raise ValueError("payloads must be four-vectors")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("four-vectors must be finite")
+        # Summed in ascending leaf order (numpy sums along a slow axis one
+        # row at a time), as the mass table adds them, the absolute
+        # components bound every cluster's summed components; a NaN or
+        # infinite component leaves them non-finite too.
+        with np.errstate(over="ignore"):
+            top = np.abs(arr).sum(axis=0)
+            top *= top
+        if not np.isfinite(top).all():
+            raise ValueError("four-vectors must be finite, their summed squares within the float range")
         if np.any(arr[:, 0] <= 0):
             raise ValueError("leaf energies must be positive")
         self.lam = lam

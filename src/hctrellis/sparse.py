@@ -66,7 +66,9 @@ class LeafOrdering:
 
     standard:        leaves keep the order in which tree traversal visits
                      them (root-down, left child first).
-    random:          a fresh seeded permutation per input tree.
+    random:          a fresh seeded permutation per input tree; the seed
+                     is required, or each evaluation would bind payloads
+                     in a new order.
     norm_ascending:  leaves sorted by the norm of their momentum vector.
     """
 
@@ -76,6 +78,8 @@ class LeafOrdering:
     def __post_init__(self):
         if self.mode not in ORDERING_MODES:
             raise ValueError(f"unknown ordering mode {self.mode!r}")
+        if self.mode == "random" and self.seed is None:
+            raise ValueError("a random ordering needs a seed")
 
     def permutation_for_tree(self, tree: Hierarchy, payloads, rng) -> list[int]:
         n = tree.num_leaves()

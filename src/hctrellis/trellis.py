@@ -26,15 +26,14 @@ queries are lookups.  A query is refused once one float step of log
 Z(root) passes 1e-6: the pass's differences of log values are then
 rounding noise.
 
-The MAP tree comes from ``core.grow_hierarchy``, reading the
-backpointers; dense MAP is its only caller.  Posterior draws are batched:
-all draws walk down together, one cluster size per pass, each picking its
-splits from cumulative weights built once per call for every distinct
-vertex of the pass, one fill chunk at a time, and reading its left child
-from the split block that chunk scored.  Sampling writes nothing to the
-trellis.  A draw spends one uniform per non-singleton node in preorder,
-two-leaf nodes included, so it equals the draw a one-node-at-a-time walk
-would make from the same generator.
+The MAP tree is a preorder walk down the backpointers.  Posterior draws
+are batched: all draws walk down together, one cluster size per pass,
+each picking its splits from cumulative weights built once per call for
+every distinct vertex of the pass, one fill chunk at a time, and reading
+its left child from the split block that chunk scored.  Sampling writes
+nothing to the trellis.  A draw spends one uniform per non-singleton node
+in preorder, two-leaf nodes included, so it equals the draw a
+one-node-at-a-time walk would make from the same generator.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .core import (
     LOG_ZERO,
     GroundSet,
     Hierarchy,
-    grow_hierarchy,
     low_bits,
     pivot_splits_array,
     subset_block,
@@ -220,7 +218,15 @@ class DenseTrellis:
         one.
         """
         self._ensure_filled()
-        tree = grow_hierarchy(self.ground.full, lambda parent: int(self._map_child[parent]))
+        children: dict[int, tuple[int, int]] = {}
+        stack = [self.ground.full]
+        while stack:  # preorder, left subtree first
+            v = stack.pop()
+            if v.bit_count() > 1:
+                left = int(self._map_child[v])
+                children[v] = (left, v ^ left)
+                stack += (v ^ left, left)
+        tree = Hierarchy.from_canonical(self.ground.full, children)
         return log_hierarchy_potential(tree, self.model), tree
 
     @property

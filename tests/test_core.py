@@ -23,6 +23,7 @@ from hctrellis.core import (
     popcount,
     relabel_hierarchy,
     split_term_count,
+    subset_block,
 )
 
 A, B, C, D = 1, 2, 4, 8
@@ -105,6 +106,30 @@ class TestPivotSplits:
         rng = np.random.default_rng(k)
         parents = [mask_of(rng.choice(22, size=k, replace=False)) for _ in range(12)]
         self.assert_batch_matches_scalar(parents)
+
+    @pytest.mark.parametrize("count", [0, 1, 5, 9])
+    def test_subset_block_adds_steps_in_ascending_order(self, count):
+        rng = np.random.default_rng(count)
+        first, steps = rng.normal(), rng.normal(size=count) * 10.0 ** rng.integers(-8, 9, count)
+        block = subset_block(np.float64(first), steps, 1 << count)
+        assert block.shape == (1 << count,) and block.dtype == np.float64
+        for r in range(1 << count):
+            total = first
+            for b in range(count):
+                if r >> b & 1:
+                    total += steps[b]
+            assert block[r] == total, r  # bit for bit, not to a tolerance
+
+    def test_subset_block_broadcasts_steps(self):
+        first = np.array([[0, 1], [2, 3]])
+        steps = [np.array([10, 20]), np.array([[100], [200]])]
+        block = subset_block(first, steps, 3)  # stops one row short of all four
+        assert block.shape == (3, 2, 2) and block.dtype == first.dtype
+        assert block.tolist() == [
+            first.tolist(), (first + steps[0]).tolist(), (first + steps[1]).tolist()
+        ]
+        rows = subset_block(np.zeros(()), [np.ones(1), np.arange(2.0)], 4)  # step b spans 2**b rows
+        assert rows.tolist() == [0.0, 1.0, 0.0, 2.0]
 
     def test_batch_rejects_singletons_and_mixed_sizes(self):
         with pytest.raises(ValueError):
@@ -310,10 +335,9 @@ class TestBitHelpers:
             lowest_leaf(0)
 
     def test_popcounts_vector(self):
-        from hctrellis.core import popcounts
-
+        # the vector popcount the models read cluster sizes from
         arr = np.array([0b1011, 0b1, 0b1111110], dtype=np.int64)
-        assert popcounts(arr).tolist() == [3, 1, 6]
+        assert np.bitwise_count(arr).tolist() == [3, 1, 6]
 
 
 def test_package_exports_resolve_once():

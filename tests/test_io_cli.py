@@ -6,6 +6,7 @@ import pytest
 from hctrellis import (
     ConstantModel,
     DenseTrellis,
+    FourVector,
     GroundSet,
     ModelParams,
     PairwiseWeights,
@@ -507,6 +508,21 @@ class TestCliRefusals:
         assert main(args) == 2
         assert "instance 0 has 23 leaves" in capsys.readouterr().err
         assert not (tmp_path / "baselines.csv").exists()
+
+    @pytest.mark.parametrize("command, model", [("z", "dasgupta"), ("map", "ginkgo")])
+    def test_overflowing_payloads_exit_2(self, tmp_path, capsys, command, model):
+        # pair weights of 1e308 printed log_z=nan, leaf energies of 1e160
+        # log_map=nan, both after a RuntimeWarning and with exit 0
+        data = tmp_path / "d.json"
+        if model == "ginkgo":
+            payloads = [FourVector(1e160 * (i + 2), 1e159 * i, 0.0, 0.0) for i in range(5)]
+            save_dataset(fourvector_dataset(payloads), data)
+        else:
+            w = [(i, j, 1e308) for i in range(4) for j in range(i + 1, 4)]
+            save_dataset(pairwise_dataset(PairwiseWeights.from_triples(4, w)), data)
+        assert main([command, "--data", str(data), "--model", model, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "float range" in captured.err and "nan" not in captured.out
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("model, flag", [

@@ -70,6 +70,19 @@ class TestPairwiseWeights:
             PairwiseWeights.from_triples(3, [(0, 1, bad)])
 
 
+def _uniform_weights(n: int, value: float) -> np.ndarray:
+    w = np.full((n, n), value)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def _scaled_jet(n: int, energy: float) -> np.ndarray:
+    """A generated jet's four-vectors scaled so its largest leaf energy is
+    ``energy``; the scaling keeps every split's mass ratios."""
+    rows = np.array([p.as_tuple() for p in exact_leaf_jet(n, 101).payloads])
+    return rows * (energy / rows[:, 0].max())
+
+
 class TestDasgupta:
     def test_unit_pair(self):
         model = DasguptaModel(PairwiseWeights.from_triples(2, [(0, 1, 1.0)]))
@@ -95,6 +108,16 @@ class TestDasgupta:
         with pytest.raises(ValueError, match="overflows"):
             DasguptaModel(weights, beta=1e308)
         assert DasguptaModel(weights, beta=5e307).log_psi(A, C) == 0.0
+
+    def test_rejects_pair_weights_whose_sum_overflows(self):
+        # six pair weights of 1e308 summed to inf in the table: log Z was NaN
+        with pytest.raises(ValueError, match="float range"):
+            DasguptaModel(PairwiseWeights(_uniform_weights(4, 1e308)))
+
+    def test_accepts_pair_weights_whose_sum_is_finite(self):
+        model = DasguptaModel(PairwiseWeights(_uniform_weights(4, 1e307)))
+        assert model._sums.get(full_mask(4)) == 6e307
+        assert not np.isnan(DenseTrellis(GroundSet(4), model).log_z_table).any()
 
     def test_overlap_rejected(self):
         model = DasguptaModel(PairwiseWeights.from_triples(3, [(0, 1, 1.0)]))
@@ -197,6 +220,20 @@ class TestGinkgoModel:
         # disagree on it
         with pytest.raises(ValueError, match="four-vectors must be finite"):
             GinkgoModel([FourVector(5.0, 0.0, 0.0, 1.0), leaf], lam=1.5)
+
+    def test_rejects_four_vectors_whose_squared_masses_overflow(self):
+        # five leaves of E ~ 1e160 squared to inf - inf: NaN psi, log_map=nan
+        with pytest.raises(ValueError, match="float range"):
+            GinkgoModel(_scaled_jet(5, 1e155), lam=1.5)
+
+    def test_large_four_vectors_score_alike_on_both_paths(self):
+        model = GinkgoModel(_scaled_jet(5, 1e150), lam=1.5)
+        for parent in range(1, 1 << 5):
+            if parent & (parent - 1):
+                lefts = np.array(list(pivot_splits(parent)), dtype=np.int64)
+                vec = model.log_psi_pairs(lefts, parent ^ lefts)
+                scalar = [model.log_psi(int(l), parent ^ int(l)) for l in lefts]
+                assert scalar == pytest.approx(vec.tolist(), rel=1e-12)  # no NaN
 
     def test_truth_tree_mass_ordering(self):
         jet = exact_leaf_jet(7, 55)

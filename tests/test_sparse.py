@@ -27,7 +27,7 @@ from hctrellis import (
 )
 import hctrellis.core
 import hctrellis.sparse
-from hctrellis.core import LOG_ZERO, full_mask, grow_hierarchy, log_sum_exp
+from hctrellis.core import LOG_ZERO, full_mask, log_sum_exp
 from hctrellis.datasets import random_affinity_weights, random_similarity_weights
 from hctrellis.jetgen import JetConfig, generate_jet
 from hctrellis.sparse import (
@@ -120,6 +120,16 @@ class TestOrderings:
         c = build_from_trees(trees, LeafOrdering("random", seed=2))
         assert a.vertices == b.vertices
         assert a.vertices != c.vertices or a.count_trees() == c.count_trees()
+
+    def test_random_ordering_needs_a_seed(self):
+        # unseeded, order_payloads drew a new permutation on every call
+        with pytest.raises(ValueError, match="needs a seed"):
+            LeafOrdering("random")
+        trees = [j.tree for j in _jet_set(5, 2, seed=5)]
+        data = build_from_trees(trees, LeafOrdering("random", seed=1)).to_dict()
+        data["ordering"]["seed"] = None
+        with pytest.raises(ValueError, match="needs a seed"):
+            SparseTrellis.from_dict(data)
 
     def test_standard_ordering_collapses_to_shape(self):
         # traversal relabelling maps label permutations of one shape together
@@ -254,7 +264,7 @@ class TestSampling:
     ])
     def test_frozen_digest(self, seed, model_kind, index, draws, best):
         # draws and MAP at fixed seeds hash to digests recorded before the
-        # sparse walks went through core.grow_hierarchy
+        # sparse walks went through a node-by-node builder
         st, model = _sim_case(seed, model_kind, index)
         ev = st.evaluate(model)
         rng = np.random.default_rng((seed, index))
@@ -427,8 +437,23 @@ class _CountingRng:
         return self.rng.random()
 
 
+def grow_hierarchy(root: int, split) -> Hierarchy:
+    """A hierarchy built top-down from ``root``, one node at a time:
+    ``split(v)`` names v's left child and is called once per non-singleton
+    node, in preorder with the left subtree first."""
+    children = {}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        if v.bit_count() > 1:
+            left = split(v)
+            children[v] = (left, v ^ left)
+            stack += (v ^ left, left)
+    return Hierarchy(root, children)
+
+
 def _node_walk(ev, rng) -> Hierarchy:
-    """One node at a time through core.grow_hierarchy: the stored best pair
+    """One node at a time through grow_hierarchy: the stored best pair
     without ``rng``, else bisect_right over the fill's running weights, with
     no uniform at a single-pair vertex.  The reference for the plan walk."""
     table, cum = ev._table, ev._cum

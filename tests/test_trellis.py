@@ -849,7 +849,7 @@ class TestSampling:
         batch_rng = np.random.default_rng(41)
         assert trellis.sample_many(25, batch_rng) == singles
         self.assert_spent(batch_rng, 41, 25 * (n - 1))
-        for h in singles:  # children are inserted in preorder, as grow_hierarchy inserts them
+        for h in [*singles, trellis.map_hierarchy()[1]]:  # children inserted in preorder
             assert list(h.children) == [v for v in h.preorder() if popcount(v) > 1]
 
     def test_small_ground_sets(self):
