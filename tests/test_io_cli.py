@@ -481,6 +481,18 @@ class TestCliRefusals:
         assert "--count must be positive" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--tcut", "nan"], "t_cut"),
+        (["--root", "100,0,inf,0"], "root.py"),
+        # t_cut so small that the jet never stops splitting
+        (["--tcut", "1e-300"], "leaves"),
+    ], ids=["tcut_nan", "root_inf", "tcut_tiny"])
+    def test_generate_refuses_pathological_config(self, tmp_path, capsys, args, message):
+        assert main(["generate", "--count", "1", *args, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_bench_refuses_past_dense_cap_before_any_fill(self, tmp_path, capsys, monkeypatch):
         import hctrellis.cli
 

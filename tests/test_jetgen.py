@@ -1,6 +1,8 @@
 import hashlib
 import math
+import time
 
+import numpy as np
 import pytest
 
 import hctrellis.jetgen as jetgen
@@ -33,6 +35,23 @@ class TestConfig:
     def test_rejects_bad_filter(self):
         with pytest.raises(ValueError):
             JetConfig(leaf_count_filter=(3, 2))
+
+    @pytest.mark.parametrize("t_cut", [math.nan, math.inf])
+    def test_rejects_non_finite_cutoff(self, t_cut):
+        with pytest.raises(ValueError, match="t_cut"):
+            JetConfig(t_cut=t_cut)
+
+    @pytest.mark.parametrize("name, value", [
+        ("e", math.nan), ("e", math.inf), ("px", math.nan), ("py", math.inf), ("pz", -math.inf),
+    ])
+    def test_rejects_non_finite_root_component(self, name, value):
+        parts = {"e": 100.0, "px": 0.0, "py": 0.0, "pz": 80.0, name: value}
+        with pytest.raises(ValueError, match=f"root\\.{name} must be finite"):
+            JetConfig(root=FourVector(**parts))
+
+    def test_rejects_root_whose_squared_mass_overflows(self):
+        with pytest.raises(ValueError, match="squared mass"):
+            JetConfig(root=FourVector(1e200, 0.0, 0.0, 0.0))
 
 
 class TestSingleLeaf:
@@ -153,3 +172,59 @@ class TestLeafCountFilter:
         monkeypatch.setattr(jetgen, "JET_RESAMPLE_BUDGET", 3)
         with pytest.raises(ValueError, match="leaves"):
             generate_jet(JetConfig(seed=0, leaf_count_filter=(25, 25)))
+
+
+class TestLeafBudget:
+    def test_tiny_cutoff_is_refused_quickly(self):
+        # without a leaf budget this jet grows without bound (over 50 s)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="leaves"):
+            generate_jet(JetConfig(seed=1, t_cut=1e-300))
+        assert time.perf_counter() - start < 20.0
+
+    def test_budget_is_the_largest_jet_allowed(self, monkeypatch):
+        config = JetConfig(seed=(9, 9))
+        jet = generate_jet(config)
+        monkeypatch.setattr(jetgen, "_LEAF_BUDGET", jet.num_leaves())
+        assert jet_digest(generate_jet(config)) == jet_digest(jet)
+        monkeypatch.setattr(jetgen, "_LEAF_BUDGET", jet.num_leaves() - 1)
+        with pytest.raises(ValueError, match=f"past {jet.num_leaves() - 1} leaves"):
+            generate_jet(config)
+
+    def test_budget_applies_to_draws_the_filter_rejects(self, monkeypatch):
+        # the jet kept is the third draw (9 leaves); the first has 19
+        config = JetConfig(root=SPARSE_ROOT, seed=1, leaf_count_filter=(9, 9))
+        assert generate_jet(config).num_leaves() == 9
+        monkeypatch.setattr(jetgen, "_LEAF_BUDGET", 12)
+        with pytest.raises(ValueError, match="past 12 leaves"):
+            generate_jet(config)
+
+
+class TestUniformBlocks:
+    """Uniforms are drawn in blocks; the jets must not depend on the block size."""
+
+    @pytest.mark.parametrize("k", [1, 7, 256])
+    def test_block_draw_equals_scalar_draws(self, k):
+        block_rng, scalar_rng = np.random.default_rng((4, k)), np.random.default_rng((4, k))
+        block = [x.hex() for x in block_rng.random(k).tolist()]
+        assert block == [scalar_rng.random().hex() for _ in range(k)]
+        # and both streams continue from the same state
+        assert block_rng.random() == scalar_rng.random()
+
+    @pytest.mark.parametrize("root, leaf_filter, t_cut, seed", [
+        # dozens of resamples per jet, so blocks end across resamples
+        (SPARSE_ROOT, (24, 24), jetgen.DEFAULT_TCUT, 1),
+        (SPARSE_ROOT, (24, 24), jetgen.DEFAULT_TCUT, (3, 1_000_000)),
+        # no filter: one draw, ~50 uniforms
+        (jetgen.DEFAULT_ROOT, None, jetgen.DEFAULT_TCUT, (9, 9)),
+        # no filter, 51 leaves: ~430 uniforms span more than one default block
+        (SPARSE_ROOT, None, 5.0, 4),
+    ], ids=["filtered_24", "filtered_24_large_seed", "unfiltered_9", "unfiltered_51"])
+    def test_jets_do_not_depend_on_block_size(self, monkeypatch, root, leaf_filter, t_cut, seed):
+        config = JetConfig(root=root, t_cut=t_cut, seed=seed, leaf_count_filter=leaf_filter)
+        digests = []
+        # 7 uniforms end a block in the middle of most splits (~7.7 per split)
+        for size in (1, 7, jetgen._UNIFORM_BLOCK):
+            monkeypatch.setattr(jetgen, "_UNIFORM_BLOCK", size)
+            digests.append(jet_digest(generate_jet(config)))
+        assert digests[0] == digests[1] == digests[2]
