@@ -13,7 +13,6 @@ from .core import (
     LOG_ZERO,
     GroundSet,
     Hierarchy,
-    complement,
     full_mask,
     leaf_indices,
     log_sum_exp,
@@ -75,7 +74,6 @@ __all__ = [
     "build_beam_search_trellis",
     "build_from_trees",
     "build_simulator_trellis",
-    "complement",
     "enumerate_hierarchies",
     "full_mask",
     "generate_jet",

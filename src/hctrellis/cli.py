@@ -367,7 +367,7 @@ def cmd_bench(args, out: Path) -> int:
     if not 2 <= args.n_min <= args.n_max <= DENSE_MAX_LEAVES:
         raise ValueError(f"need 2 <= n-min <= n-max <= {DENSE_MAX_LEAVES}")
     rows = []
-    prev_ops = None
+    prev_ops = split_term_count(args.n_min - 1)  # 0 at n-min 2: no ratio
     for n in range(args.n_min, args.n_max + 1):
         if args.model == "ginkgo":
             jet = generate_jet(

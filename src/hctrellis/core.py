@@ -93,20 +93,6 @@ def mask_of(indices: Iterable[int]) -> int:
     return bits
 
 
-def complement(parent: int, child: int) -> int:
-    """The sibling of ``child`` inside ``parent``.
-
-    ``child`` must be a nonempty strict subset of ``parent``.
-    """
-    if child == 0:
-        raise ValueError("child cluster is empty")
-    if child & ~parent:
-        raise ValueError("child is not a subset of parent")
-    if child == parent:
-        raise ValueError("child equals parent; no sibling exists")
-    return parent ^ child
-
-
 def pivot_splits(parent: int) -> Iterator[int]:
     """Left children of every proper split of ``parent``, ascending.
 

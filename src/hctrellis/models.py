@@ -35,7 +35,8 @@ Scoring flavours:
 * ``CorrelationModel``: log psi = -beta * (cross positive weight minus
   within-cluster negative weight, ordered-pair convention).
 * ``GinkgoModel``:      product of two truncated-exponential splitting
-  densities over the squared masses of the children.
+  densities over the squared masses of the children, given the parent's;
+  parents and children read one store of squared masses, clamped once.
 * ``ConstantModel``:    log psi = 0 everywhere (uniform over trees).
 """
 
@@ -121,11 +122,6 @@ class FourVector:
     def __add__(self, other: "FourVector") -> "FourVector":
         return FourVector(
             self.e + other.e, self.px + other.px, self.py + other.py, self.pz + other.pz
-        )
-
-    def __sub__(self, other: "FourVector") -> "FourVector":
-        return FourVector(
-            self.e - other.e, self.px - other.px, self.py - other.py, self.pz - other.pz
         )
 
     def as_tuple(self) -> tuple[float, float, float, float]:
@@ -227,16 +223,28 @@ class _SubsetPairSums(_ClusterTable):
         return total
 
 
-class _SubsetMass2(_ClusterTable):
-    """Squared mass of the summed leaf four-vectors of each cluster.
+def _clamped(t: np.ndarray) -> np.ndarray:
+    """``t`` clamped in place as a splitting density reads squared masses:
+    rounding debris in [-KINEMATIC_TOL, 0) is 0.0, anything further below
+    is +inf, which no child lies below and whose log is +inf."""
+    t[t < -KINEMATIC_TOL] = np.inf
+    t[t < 0] = 0.0
+    return t
 
-    Both backends subtract the squares in _mass2's order.  The table is
-    built one component at a time, so construction holds two 2**n arrays,
-    not five.  ``prime`` fills the memo for a batch of clusters with
-    ``_value``'s additions made as vector adds, one leaf at a time, each
-    term times the leaf's 0/1 membership.  A non-member adds 0.0 times a
-    finite number, a zero, which leaves every sum as it was: a sum that
-    starts at +0.0 never becomes -0.0.
+
+class _SubsetMass2(_ClusterTable):
+    """Squared mass t(C) of the summed leaf four-vectors of each cluster,
+    clamped as a splitting density reads it (``_clamped``), for parents
+    and children alike.
+
+    Both backends subtract the squares in _mass2's order and clamp alike.
+    The table is built one component at a time, so construction holds two
+    2**n arrays, not five, and is clamped in place.  ``prime`` fills the
+    memo for a batch of clusters with ``_value``'s additions made as
+    vector adds, one leaf at a time, each term times the leaf's 0/1
+    membership.  A non-member adds 0.0 times a finite number, a zero,
+    which leaves every sum as it was: a sum that starts at +0.0 never
+    becomes -0.0.
     """
 
     def __init__(self, payloads: np.ndarray):
@@ -248,7 +256,7 @@ class _SubsetMass2(_ClusterTable):
         table = self._squared_sums(0)
         for c in (1, 2, 3):
             table -= self._squared_sums(c)
-        return table
+        return _clamped(table)
 
     def _squared_sums(self, c: int) -> np.ndarray:
         # Component c summed over every cluster by ascending doubling, squared.
@@ -263,7 +271,10 @@ class _SubsetMass2(_ClusterTable):
             px += dx
             py += dy
             pz += dz
-        return _mass2(e, px, py, pz)
+        t = _mass2(e, px, py, pz)
+        if t < 0:
+            return math.inf if t < -KINEMATIC_TOL else 0.0
+        return t
 
     def prime(self, clusters) -> None:
         """Memoize every cluster of ``clusters`` at once; a table has nothing
@@ -277,7 +288,7 @@ class _SubsetMass2(_ClusterTable):
         sums = np.zeros((4, len(bits)))
         for h in range(self.n):
             sums += self.payloads[h, :, None] * member[h]
-        self._memo.update(zip(bits.tolist(), _mass2(*sums).tolist()))
+        self._memo.update(zip(bits.tolist(), _clamped(_mass2(*sums)).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +470,6 @@ class CorrelationModel(PotentialModel):
         return pos + neg2, pos * -self.beta, np.full(self.n + 1, float(self.beta))
 
 
-def _child_masses(t: np.ndarray) -> np.ndarray:
-    """Squared masses as a child's density reads them: rounding debris in
-    [-KINEMATIC_TOL, 0) is 0.0, anything further below is +inf, which no
-    parent's squared mass exceeds, so the split scores zero."""
-    return np.where(t < -KINEMATIC_TOL, np.inf, np.where(t < 0, 0.0, t))
-
-
 class GinkgoModel(PotentialModel):
     """Jet-style scoring: a split's likelihood is the product of the two
     children's splitting densities given the squared mass of their sum.
@@ -500,49 +504,32 @@ class GinkgoModel(PotentialModel):
         self.n = arr.shape[0]
         self.payloads = arr
         self._t = _SubsetMass2(arr)
-        table = self._t._table
-        self._child_t = None if table is None else _child_masses(table)
         self._log_norm = math.log(lam) - math.log1p(-math.exp(-lam))
 
     def prime(self, clusters) -> None:
         self._t.prime(clusters)
 
-    def _density(self, t: float, t_parent: float) -> float:
-        if t < 0:
-            if t < -KINEMATIC_TOL:
-                return LOG_ZERO
-            t = 0.0
-        if t >= t_parent:
-            return LOG_ZERO
-        return self._log_norm - math.log(t_parent) - self.lam * (t / t_parent)
-
     def _log_psi(self, left: int, right: int) -> float:
         t_parent = self._t.get(left | right)
-        if t_parent <= 0:
+        tl, tr = self._t.get(left), self._t.get(right)
+        # stored masses are >= 0 or +inf: a t(P) <= 0 holds no child below
+        # it, and a +inf t(P) takes log +inf, so the split scores -inf
+        if not max(tl, tr) < t_parent:
             return LOG_ZERO
-        dl = self._density(self._t.get(left), t_parent)
-        dr = self._density(self._t.get(right), t_parent)
-        return dl + dr
-
-    def _child_masses_of(self, clusters: np.ndarray) -> np.ndarray:
-        if self._child_t is not None:
-            return self._child_t.take(clusters)
-        return _child_masses(self._t.get_many(clusters))
+        base = self._log_norm - math.log(t_parent)
+        return (base - self.lam * (tl / t_parent)) + (base - self.lam * (tr / t_parent))
 
     def log_psi_pairs(self, lefts, rights) -> np.ndarray:
         parents, lefts, rights, shape = _split_rows(lefts, rights)
         t_parent = self._t.get_many(parents)
         del parents  # each temporary held is one more block-sized array
-        tl = self._child_masses_of(lefts)
-        tr = self._child_masses_of(rights)
+        tl = self._t.get_many(lefts)
+        tr = self._t.get_many(rights)
         with np.errstate(all="ignore"):
-            # child masses are >= 0 or +inf, so a t(P) <= 0 holds none
-            # below it, and a +inf child mass is never below it either
+            # _log_psi's test and operations in its order (products commute)
             invalid = ~(np.maximum(tl, tr) < t_parent)
-            # per parent: the densities' shared term
             base = np.log(t_parent)
             np.subtract(self._log_norm, base, out=base)
-            # per child: _density's operations in its order (products commute)
             tl /= t_parent
             tl *= self.lam
             tr /= t_parent

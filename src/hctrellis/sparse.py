@@ -396,9 +396,6 @@ class SparseEvaluation:
             stack.extend(frontier[e])
         return Hierarchy.from_canonical(self.trellis.root, children)
 
-    def sample_hierarchy(self, seed) -> Hierarchy:
-        return self.sample(np.random.default_rng(seed))
-
 
 # ---------------------------------------------------------------------------
 # builders

@@ -414,9 +414,6 @@ class DenseTrellis:
         """One posterior draw."""
         return self.sample_many(1, rng)[0]
 
-    def sample_hierarchy(self, seed) -> Hierarchy:
-        return self.sample(np.random.default_rng(seed))
-
     def sample_many(self, count: int, seed) -> list[Hierarchy]:
         """``count`` posterior draws; splits are chosen top-down per the exact
         conditional p(left | parent) = psi * Z(left) * Z(right) / Z(parent).

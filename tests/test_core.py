@@ -11,7 +11,6 @@ from hctrellis.core import (
     LOG_ZERO,
     GroundSet,
     Hierarchy,
-    complement,
     full_mask,
     leaf_indices,
     log_sum_exp,
@@ -27,29 +26,6 @@ from hctrellis.core import (
 )
 
 A, B, C, D = 1, 2, 4, 8
-
-
-class TestComplement:
-    def test_three_leaves(self):
-        assert complement(A | B | C, A) == B | C
-
-    def test_two_leaves(self):
-        assert complement(A | B, A) == B
-
-    def test_four_leaves_interleaved(self):
-        assert complement(A | B | C | D, A | C) == B | D
-
-    def test_rejects_empty_child(self):
-        with pytest.raises(ValueError):
-            complement(A | B, 0)
-
-    def test_rejects_child_equal_parent(self):
-        with pytest.raises(ValueError):
-            complement(A | B, A | B)
-
-    def test_rejects_non_subset(self):
-        with pytest.raises(ValueError):
-            complement(A | B, C)
 
 
 class TestPivotSplits:

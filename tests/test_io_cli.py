@@ -11,6 +11,7 @@ from hctrellis import (
     ModelParams,
     PairwiseWeights,
     num_hierarchies,
+    split_term_count,
 )
 from hctrellis.cli import main
 from hctrellis.datasets import greedy_adversarial_weights, random_similarity_weights
@@ -379,6 +380,19 @@ class TestCli:
             assert int(row[1]) == int(row[2])
             assert float(row[per_term]) > 0
             assert float(row[marginals]) > 0
+        assert rows[1][rows[0].index("ops_ratio")] == "nan"  # no split terms at n = 1
+
+    def test_bench_single_n_checks_growth(self, tmp_path, capsys):
+        # one n still has a ratio: against the closed-form count at n - 1
+        args = ["bench", "--model", "dasgupta", "--n-min", "9", "--n-max", "9",
+                "--out", str(tmp_path)]
+        assert main(args) == 0
+        rows = list(csv.reader((tmp_path / "bench.csv").read_text().splitlines()))
+        assert len(rows) == 2
+        ratio = float(rows[1][rows[0].index("ops_ratio")])
+        assert ratio == split_term_count(9) / split_term_count(8)
+        assert abs(ratio - 3.0) <= 0.15
+        assert "nan" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("n", [1, 2, 10, 14])
     def test_count_command(self, n, tmp_path, capsys):
@@ -759,5 +773,7 @@ class TestCliOutputDigest:
         # terms (only the log_z of map_dasgupta and marginal moved, in the
         # last bits: relative 2.4e-16 and 9.9e-16), and when the outside
         # pass became a gather (only fragment's log_marginal moved,
-        # relative 1.4e-15)
-        assert digest.hexdigest()[:16] == "434d5bbcd5f35ee7"
+        # relative 1.4e-15), and when bench's first row took a ratio
+        # against the closed-form count at n-min - 1 (only bench_dasgupta's
+        # n = 3 ops_ratio moved, nan to 6.0)
+        assert digest.hexdigest()[:16] == "f56359ee314b1878"

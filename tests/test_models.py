@@ -257,12 +257,15 @@ class TestGinkgoModel:
 class TestPsiEntryPoints:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_scalar_and_batched_agree_bitwise(self, kind):
-        # every split of every cluster at n = 10, smaller cluster first
-        n = 10
-        parents = np.arange(1, 1 << n, dtype=np.int64)
-        sizes = np.bitwise_count(parents)
-        for seed in range(5):
-            model = make_model(kind, n, seed)
+        # every split of every cluster at n = 10, smaller cluster first, and
+        # of the edge jet, whose stored parent masses include 0.0 and +inf
+        models = [make_model(kind, 10, seed) for seed in range(5)]
+        if kind == "ginkgo":
+            models.append(edge_jet_model())
+        for model in models:
+            n = model.n
+            parents = np.arange(1, 1 << n, dtype=np.int64)
+            sizes = np.bitwise_count(parents)
             for k in range(2, n + 1):
                 lefts = pivot_splits_array(parents[sizes == k])
                 rights = np.repeat(parents[sizes == k], (1 << (k - 1)) - 1) ^ lefts
@@ -270,6 +273,40 @@ class TestPsiEntryPoints:
                 batched = model.log_psi_pairs(lo, hi).tolist()
                 scalar = [model.log_psi(l, r) for l, r in zip(lo.tolist(), hi.tolist())]
                 assert [v.hex() for v in batched] == [v.hex() for v in scalar]
+
+    def test_ginkgo_agrees_bitwise_past_the_table_cap(self):
+        # memo backend, with and without priming; a quarter of the leaves
+        # spacelike, so some stored masses, parents' too, are +inf
+        n = TABLE_MAX_LEAVES + 1
+        rng = np.random.default_rng(23)
+        p = rng.normal(0.0, 1.0, size=(n, 3))
+        e = np.sqrt(rng.uniform(1.0, 4.0, size=n) + (p * p).sum(axis=1))
+        e[::4] = np.sqrt((p[::4] * p[::4]).sum(axis=1)) * 0.9
+        payloads = np.column_stack([e, p])
+        # parents of every size: each leaf a member with a per-row chance
+        member = rng.random((4000, n)) < rng.uniform(0.05, 1.0, size=(4000, 1))
+        parents = member @ (1 << np.arange(n, dtype=np.int64))
+        lefts = parents & rng.integers(0, 1 << n, size=parents.size, dtype=np.int64)
+        keep = (lefts != 0) & (lefts != parents)
+        lefts, rights = lefts[keep], (parents ^ lefts)[keep]
+        i, j = np.triu_indices(n, 1)  # and every pair of leaves
+        lo = np.concatenate([np.minimum(lefts, rights), 1 << i])
+        hi = np.concatenate([np.maximum(lefts, rights), 1 << j])
+        seen = []
+        for primed in (False, True):
+            model = GinkgoModel(payloads, lam=1.5)
+            assert model._t._table is None
+            if primed:
+                model.prime(np.concatenate([lo, hi, lo | hi]).astype(np.uint64))
+            seen.append(model.log_psi_pairs(lo, hi).tobytes())
+            scalar = [model.log_psi(l, r) for l, r in zip(lo.tolist(), hi.tolist())]
+            seen.append(np.array(scalar).tobytes())
+        assert len(set(seen)) == 1
+        for clusters in (lo, lo | hi):
+            stored = np.array([model._t.get(b) for b in clusters.tolist()])
+            assert np.isinf(stored).any() and np.isfinite(stored).any()
+        psi = np.frombuffer(seen[0])
+        assert np.isneginf(psi).any() and np.isfinite(psi).any()
 
 
 def split_blocks(parents):
@@ -294,7 +331,8 @@ def assert_same_bits(got, expected):
 def edge_jet_model():
     """Seven leaves: 0 and 1 with squared masses in [-tol, 0), 2 and 3
     massless and collinear (their sum has zero mass), 4 far below -tol,
-    5 and 6 massive."""
+    5 and 6 massive.  The store holds 0.0 for leaves 0 and 1 and +inf for
+    leaf 4."""
     leaves = [
         (1.0, 0.0, 0.0, math.sqrt(1 + 4e-10)),
         (1.5, math.sqrt(2.25 + 6e-10), 0.0, 0.0),
@@ -304,10 +342,13 @@ def edge_jet_model():
         (5.0, 1.0, 0.0, 0.0),
         (4.0, 0.0, -1.0, 0.5),
     ]
+    raw = [_mass2(*leaf) for leaf in leaves]
+    assert all(-KINEMATIC_TOL <= raw[i] < 0 for i in (0, 1))
+    pair = [a + b for a, b in zip(leaves[2], leaves[3])]
+    assert raw[2] == raw[3] == _mass2(*pair) == 0.0 and raw[4] < -KINEMATIC_TOL
     model = GinkgoModel(leaves, lam=1.5)
     t = [model._t.get(1 << i) for i in range(7)]
-    assert all(-KINEMATIC_TOL <= t[i] < 0 for i in (0, 1))
-    assert t[2] == t[3] == model._t.get(0b1100) == 0.0 and t[4] < -KINEMATIC_TOL
+    assert t[0] == t[1] == 0.0 and t[4] == math.inf
     return model
 
 
@@ -522,8 +563,8 @@ class TestPairSumBackends:
         assert np.array_equal(table, _mass2(vec[:, 0], vec[:, 1], vec[:, 2], vec[:, 3]))
 
     def test_ginkgo_keeps_one_mass_table(self):
-        # the squared masses, plus the same table clamped as children read
-        # it; no four-vector table
+        # the clamped squared masses, read by parents and children alike;
+        # no four-vector table
         n = 12
         model = make_model("ginkgo", n, seed=3)
         arrays = [
@@ -532,10 +573,8 @@ class TestPairSumBackends:
             for a in getattr(obj, "__dict__", {}).values()
             if isinstance(a, np.ndarray) and a.size >= 1 << n
         ]
-        assert len(arrays) == 2
+        assert len(arrays) == 1
         assert all(a.shape == (1 << n,) and a.dtype == np.float64 for a in arrays)
-        t = model._t._table
-        assert np.array_equal(model._child_t[t >= 0], t[t >= 0])
 
 
 def _signed_payloads(n: int, seed: int) -> np.ndarray:

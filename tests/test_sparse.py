@@ -158,7 +158,7 @@ class TestInference:
         assert ev.log_partition() == pytest.approx(truth, abs=1e-12)
         value, tree = ev.map_hierarchy()
         assert tree == jet.tree and value == truth
-        assert ev.sample_hierarchy(3) == jet.tree
+        assert ev.sample(np.random.default_rng(3)) == jet.tree
 
     def test_map_ties_pick_the_first_pair(self):
         # every tree ties under the constant model; the sparse fill keeps the
@@ -631,7 +631,7 @@ class TestSplitTable:
         _, tree = ev.map_hierarchy()
         assert tree.children[root] == st.vertices[root][0]
         with pytest.raises(ValueError):
-            ev.sample_hierarchy(0)
+            ev.sample(np.random.default_rng(0))
 
     def test_every_split_dead_follows_first_pairs(self):
         jets = _jet_set(7, 5, seed=43)
@@ -663,7 +663,7 @@ class TestSplitTable:
         ev1 = st1.evaluate(make_model(kind, 1, seed=3))
         assert ev1.log_partition() == 0.0
         assert ev1.map_hierarchy() == (0.0, one)
-        assert ev1.sample_hierarchy(0) == one
+        assert ev1.sample(np.random.default_rng(0)) == one
 
         two = Hierarchy(3, {3: (1, 2)})
         st2 = build_from_trees([two])
@@ -673,7 +673,7 @@ class TestSplitTable:
         psi = model.log_psi(1, 2)
         assert ev2.log_partition().hex() == log_sum_exp([psi + 0.0 + 0.0]).hex()
         assert ev2.map_hierarchy() == (psi, two)
-        assert ev2.sample_hierarchy(0) == two
+        assert ev2.sample(np.random.default_rng(0)) == two
 
 
 def _count_recursion(st) -> dict[int, int]:

@@ -288,7 +288,7 @@ class TestMap:
         tree.validate(n=4, require_root=full_mask(4))
         assert trellis.log_partition() == LOG_ZERO
         with pytest.raises(ValueError, match="degenerate"):
-            trellis.sample_hierarchy(0)
+            trellis.sample(np.random.default_rng(0))
 
 
 class TestMemoInvariants:
@@ -831,7 +831,7 @@ class TestSampling:
 
     def test_single_leaf(self):
         trellis = DenseTrellis(GroundSet(1), ConstantModel(1))
-        assert trellis.sample_hierarchy(0) == Hierarchy(1, {})
+        assert trellis.sample(np.random.default_rng(0)) == Hierarchy(1, {})
 
     @staticmethod
     def assert_spent(rng, seed, uniforms):
