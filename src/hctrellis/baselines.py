@@ -27,21 +27,30 @@ Clusters stay ``uint64``: leaf 63 sets bit 63.
 A depth-1 lookahead needs no rollout: the best merge after (i, j) either
 avoids both clusters, and is then the state's best pair avoiding i and j,
 or joins the merged cluster to one of the other k-2.  The best avoiding
-pair is among the state's top ``2k-2`` pair scores, since only ``2k-3``
-pairs touch i or j.  A max over floats is exact, so the bonus equals the
-greedy rollout's.  Deeper lookaheads run the greedy rollout for all
-candidates at once: each step scores every pair of every candidate, takes
-each row's first maximum and merges it row by row.
+pair is among the state's top ``2k-2`` pair scores (``np.argpartition``,
+in no order), since only ``2k-3`` pairs touch i or j; a pair avoids merge
+c when its ``uint64`` touch mask, bit i | bit j, shares no bit with c's.
+Joins and avoids are laid out (states, terms, merges), so each max reduces
+the middle axis, and both run over the same chunks of states.  psi is
+never NaN and a max over floats is exact, so the bonus equals the greedy
+rollout's.  Deeper lookaheads run the greedy rollout for all candidates at
+once: each step scores every pair of every candidate, takes each row's
+first maximum and merges it row by row.
 
-Candidates rank by ``(-(score + bonus), partition)`` in one stable
-``np.lexsort``, so full ties keep the expansion order.  The dedup walk
-then goes down that ranking and drops a candidate whose partition was
-already kept with a score within ``SCORE_TIE_TOL`` (another merge order
-of the same clustering).  The last level's candidates share one
-partition and get no bonus, so its kept order is the forest's, best first.
+Candidates rank in the order of one stable ``np.lexsort`` on
+``(-(score + bonus), partition)``, so full ties keep the expansion order,
+but only as far as the dedup walk reads: the ranking lexsorts a band of
+the best keys at a time (``_ranked``).  The walk goes down that ranking
+and drops a candidate whose partition was already kept with a score
+within ``SCORE_TIE_TOL`` (another merge order of the same clustering),
+until ``beam_width`` are kept; at n = 14 it reads about 150 of up to 7098
+candidates a level.  The last level's candidates share one partition and
+get no bonus, so its kept order is the forest's, best first.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -50,8 +59,10 @@ from .models import PotentialModel
 
 SCORE_TIE_TOL = 1e-12
 # Lookahead pairs (joins and rollout steps) are scored about this many at a
-# time, which caps their temporaries; every other per-level array holds at
-# most S * C * k words.
+# time, over chunks of states, which caps their temporaries; a join chunk's
+# avoid test holds up to three times as many words (2k-2 top pairs against
+# the k-2 joins of each merge).  Every other per-level array holds at most
+# S * C * k words.
 JOIN_CHUNK_PAIRS = 1 << 15
 
 
@@ -110,6 +121,66 @@ def _rollout_bonus(rows: np.ndarray, depth: int, psi_pairs) -> np.ndarray:
     return bonus
 
 
+def _lookahead_one(parts, merged, pair_vals, I, J, psi_pairs) -> np.ndarray:
+    # Depth-1 lookahead of merge (I[c], J[c]) of every state, in closed form:
+    # the best join of the merged cluster or the best pair avoiding I[c], J[c].
+    S, k = parts.shape
+    C = len(I)
+    # each state's top 2k-2 pair scores, in no order, and the columns those
+    # pairs and each merge touch, as bit masks
+    T = min(C, 2 * k - 2)
+    top = np.argpartition(pair_vals, C - T, axis=1)[:, C - T :]
+    top_vals = np.take_along_axis(pair_vals, top, axis=1)[:, :, None]
+    bit = np.uint64(1) << np.arange(k, dtype=np.uint64)
+    touch = bit[I] | bit[J]
+    top_touch = touch[top][:, :, None]
+    # the k-2 clusters but i and j of merge c, as rest[:, c]
+    cols = np.arange(k)
+    rest = np.broadcast_to(cols, (C, k))[(cols != I[:, None]) & (cols != J[:, None])]
+    rest = rest.reshape(C, k - 2).T
+    bonus = np.empty((S, C))
+    step = max(1, JOIN_CHUNK_PAIRS // (C * (k - 2)))
+    for a in range(0, S, step):
+        b = slice(a, a + step)
+        best_join = psi_pairs(merged[b, None], parts[b][:, rest]).max(axis=1)
+        avoids = (top_touch[b] & touch) == 0
+        best_avoid = np.where(avoids, top_vals[b], -np.inf).max(axis=1)
+        np.maximum(best_join, best_avoid, out=bonus[b])
+    return bonus
+
+
+def _ranked(neg_keys: np.ndarray, parts: np.ndarray, first: int):
+    """Candidate indices in the order of the stable
+    ``np.lexsort(tuple(parts.T[::-1]) + (neg_keys,))``, one band at a time.
+
+    A band is every candidate not yet ranked whose key is at most the m-th
+    smallest key, m growing fourfold from ``first``; a tie never spans two
+    bands, so the bands, each lexsorted, concatenate to the full order.
+    NaN keys sort last, as in ``np.lexsort``: no band bounded by a NaN takes
+    them, and the last band is everything left.
+    """
+    total = len(neg_keys)
+    left = np.ones(total, dtype=bool)
+    m = first
+    while True:
+        band = left
+        if m < total:
+            band = left & (neg_keys <= np.partition(neg_keys, m - 1)[m - 1])
+        idx = np.flatnonzero(band)
+        yield from idx[np.lexsort(tuple(parts[idx].T[::-1]) + (neg_keys[idx],))].tolist()
+        if m >= total:
+            return
+        left &= ~band
+        m *= 4
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+
+
 @np.errstate(over="ignore")  # scores past the float range are -inf
 def beam_search_forest(
     model: PotentialModel,
@@ -120,6 +191,8 @@ def beam_search_forest(
     n = model.n
     if beam_width is None:
         beam_width = max(1, n * (n - 1) // 2)
+    beam_width = _integer(beam_width, "beam width")
+    lookahead = _integer(lookahead, "lookahead")
     if beam_width < 1:
         raise ValueError("beam width must be at least 1")
     if lookahead < 0:
@@ -147,24 +220,7 @@ def beam_search_forest(
         new_parts = new_parts.reshape(S * C, k - 1)
         new_scores = scores[:, None] + pair_vals
         if lookahead == 1 and k > 2:
-            # best psi of the merged cluster against each cluster but i and j
-            cols = np.arange(k)
-            rest = np.broadcast_to(cols, (C, k))[(cols != I[:, None]) & (cols != J[:, None])]
-            rest = rest.reshape(C, k - 2)
-            step = max(1, JOIN_CHUNK_PAIRS // (C * (k - 2)))
-            best_join = np.concatenate([
-                psi_pairs(merged[a : a + step, :, None], parts[a : a + step, rest]).max(axis=2)
-                for a in range(0, S, step)
-            ])
-            # best pair avoiding i and j: the first such pair among the top 2k-2
-            top = np.argsort(-pair_vals, axis=1)[:, : min(C, 2 * k - 2)]
-            ti, tj = I[top][:, None, :], J[top][:, None, :]
-            ci, cj = I[None, :, None], J[None, :, None]
-            avoids = (ti != ci) & (ti != cj) & (tj != ci) & (tj != cj)
-            top_vals = np.take_along_axis(pair_vals, top, axis=1)
-            best_avoid = np.take_along_axis(top_vals, avoids.argmax(axis=2), axis=1)
-            best_avoid[~avoids.any(axis=2)] = -np.inf
-            bonus = np.maximum(best_join, best_avoid)
+            bonus = _lookahead_one(parts, merged, pair_vals, I, J, psi_pairs)
         elif lookahead > 1 and k > 2:
             # the rollout's first step scores the most pairs, (k-1)(k-2)/2 a row
             step = max(1, JOIN_CHUNK_PAIRS // ((k - 1) * (k - 2) // 2))
@@ -174,14 +230,13 @@ def beam_search_forest(
             ]).reshape(S, C)
         else:
             bonus = 0.0
-        keys = (new_scores + bonus).ravel()
+        neg_keys = -(new_scores + bonus).ravel()
         new_scores = new_scores.ravel()
 
-        ranking = np.lexsort(tuple(new_parts.T[::-1]) + (-keys,))
         kept: list[int] = []
         seen: dict[tuple[int, ...], list[float]] = {}
         score_list = new_scores.tolist()
-        for idx in ranking.tolist():
+        for idx in _ranked(neg_keys, new_parts, 2 * beam_width):
             score = score_list[idx]
             prior = seen.setdefault(tuple(new_parts[idx].tolist()), [])
             if any(abs(score - s) <= SCORE_TIE_TOL for s in prior):

@@ -1,5 +1,6 @@
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,13 @@ from hctrellis import (
     greedy_cluster,
     log_hierarchy_potential,
 )
-from hctrellis.baselines import JOIN_CHUNK_PAIRS, SCORE_TIE_TOL
+from hctrellis.baselines import (
+    JOIN_CHUNK_PAIRS,
+    SCORE_TIE_TOL,
+    _lookahead_one,
+    _merges,
+    _ranked,
+)
 from hctrellis.core import full_mask
 from hctrellis.datasets import (
     greedy_adversarial_weights,
@@ -326,6 +333,21 @@ class TestBeam:
         with pytest.raises(ValueError, match="lookahead"):
             beam_search_cluster(make_model("dasgupta", n, seed=0), lookahead=-1)
 
+    def test_non_integer_width_rejected(self):
+        # a width of 2.5 is never reached, so it would keep every candidate
+        with pytest.raises(ValueError, match="beam width"):
+            beam_search_forest(make_model("dasgupta", 7, seed=1), beam_width=2.5)
+
+    @pytest.mark.parametrize("lookahead", [1.0, "1"])
+    def test_non_integer_lookahead_rejected(self, lookahead):
+        with pytest.raises(ValueError, match="lookahead"):
+            beam_search_forest(make_model("dasgupta", 7, seed=1), lookahead=lookahead)
+
+    def test_numpy_integers_accepted(self):
+        model = make_model("dasgupta", 7, seed=1)
+        got = beam_search_forest(model, np.int64(2), np.int32(2))
+        assert forest_bits(got) == forest_bits(beam_search_forest(model, 2, 2))
+
     def test_forest_is_sorted_and_bounded(self):
         model = make_model("dasgupta", 6, seed=5)
         forest = beam_search_forest(model, beam_width=7)
@@ -393,6 +415,21 @@ class TestBeamMatchesReference:
         beam_search_forest(model, lookahead=2)
         assert max(sizes) <= JOIN_CHUNK_PAIRS
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_fourteen_leaves_width_one(self, kind):
+        # the first ranking band is two candidates, so most levels need more
+        assert_same_forest(make_model(kind, 14, seed=1), beam_width=1)
+
+    @pytest.mark.parametrize("beam_width, lookahead", [(None, 1), (3, 2), (None, 0)])
+    @pytest.mark.parametrize("kind", ["correlation", "dasgupta"])
+    def test_extreme_beta(self, kind, beam_width, lookahead):
+        # psi past the float range: scores near -1e308 or all -inf
+        if kind == "correlation":
+            model = CorrelationModel(random_affinity_weights(7, 4), beta=1e307)
+        else:
+            model = DasguptaModel(random_similarity_weights(7, 4), beta=1e307)
+        assert_same_forest(model, beam_width, lookahead)
+
     def test_clusters_past_32_bits(self):
         # clusters over 40 leaves need more than 32 bits
         assert_same_forest(make_model("dasgupta", 40, seed=2), beam_width=3)
@@ -400,6 +437,89 @@ class TestBeamMatchesReference:
     def test_leaf_63(self):
         # leaf 63 sets the sign bit of an int64, so clusters stay uint64
         assert_same_forest(make_model("dasgupta", 64, seed=2), beam_width=2, lookahead=0)
+
+
+class TestClosedFormLookahead:
+    def test_sixty_four_clusters(self):
+        # merges of column 63 set the top bit of their uint64 touch masks;
+        # the bonus is checked against a max over every pair avoiding i and j
+        model = make_model("dasgupta", 64, seed=2)
+
+        def psi_pairs(a, b):
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            return model.log_psi_pairs(lo.ravel(), hi.ravel()).reshape(lo.shape)
+
+        parts = np.array([[1 << i for i in range(64)]], dtype=np.uint64)
+        I, J, _ = _merges(64)
+        lefts, rights = parts[:, I], parts[:, J]
+        merged = lefts | rights
+        pair_vals = psi_pairs(lefts, rights)
+        got = _lookahead_one(parts, merged, pair_vals, I, J, psi_pairs)
+
+        cols = np.arange(64)
+        rest = np.broadcast_to(cols, (len(I), 64))[(cols != I[:, None]) & (cols != J[:, None])]
+        best_join = psi_pairs(merged[:, :, None], parts[:, rest.reshape(len(I), 62)]).max(axis=2)
+        disjoint = (I[:, None] != I) & (I[:, None] != J) & (J[:, None] != I) & (J[:, None] != J)
+        best_avoid = np.array([np.where(disjoint, vals, -np.inf).max(axis=1) for vals in pair_vals])
+        assert got.tobytes() == np.maximum(best_join, best_avoid).tobytes()
+
+
+def assert_lexsort_order(neg_keys, parts, first):
+    neg_keys = np.asarray(neg_keys, dtype=np.float64)
+    parts = np.asarray(parts, dtype=np.uint64).reshape(len(neg_keys), -1)
+    expected = np.lexsort(tuple(parts.T[::-1]) + (neg_keys,))
+    assert list(_ranked(neg_keys, parts, first)) == expected.tolist()
+
+
+INF, NAN = np.inf, np.nan
+RNG = np.random.default_rng(3)
+
+
+class TestBandedRanking:
+    """The bands concatenate to one stable np.lexsort on (key, partition)."""
+
+    # a first band of 64 is more than all but the last table holds
+    @pytest.mark.parametrize("first", [1, 2, 3, 5, 64])
+    @pytest.mark.parametrize("neg_keys, parts", [
+        pytest.param(  # the 2nd to 6th smallest keys tie; partitions break some
+            [0.5, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 3.0, 0.5],
+            [[3, 4], [5, 1], [3, 4], [2, 9], [5, 0], [1, 1], [2, 9], [0, 0], [7, 7]],
+            id="ties-span-a-band-boundary",
+        ),
+        pytest.param(
+            [0.0, -0.0, 1.0, 0.0, -0.0, -1.0], [[6], [5], [4], [3], [2], [1]],
+            id="signed-zeros-tie",
+        ),
+        pytest.param(
+            [NAN, INF, -INF, 0.0, NAN, INF, -INF, 1.0, NAN, -INF, 2.0],
+            [[3], [1], [2], [0], [1], [0], [1], [5], [0], [1], [4]],
+            id="infinities-and-nan",
+        ),
+        pytest.param([NAN] * 5, [[4], [2], [3], [2], [0]], id="all-nan"),
+        pytest.param(  # the constant model: every key ties, partitions decide
+            np.zeros(50), RNG.integers(0, 4, size=(50, 3)), id="all-keys-equal",
+        ),
+        pytest.param(  # a width-1 beam ranks with a first band of two
+            RNG.integers(0, 30, size=300), RNG.integers(0, 3, size=(300, 4)), id="many-bands",
+        ),
+    ])
+    def test_matches_one_lexsort(self, neg_keys, parts, first):
+        assert_lexsort_order(neg_keys, parts, first)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan]),
+                st.lists(st.integers(0, 2), min_size=2, max_size=2),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        first=st.integers(1, 12),
+    )
+    def test_random_keys(self, data, first):
+        assert_lexsort_order([key for key, _ in data], [part for _, part in data], first)
 
 
 class TestBeamScores:
