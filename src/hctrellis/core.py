@@ -89,6 +89,8 @@ def mask_of(indices: Iterable[int]) -> int:
     for i in indices:
         if i < 0:
             raise ValueError("leaf index must be nonnegative")
+        if bits >> i & 1:
+            raise ValueError(f"leaf index {i} is repeated")
         bits |= 1 << i
     return bits
 

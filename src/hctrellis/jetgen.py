@@ -23,8 +23,8 @@ from itertools import chain
 
 import numpy as np
 
-from .core import Hierarchy, full_mask
-from .models import FourVector, _mass2, log_splitting_density
+from .core import LOG_ZERO, Hierarchy, full_mask
+from .models import FourVector, _mass2
 
 SPLIT_REJECT_BUDGET = 10_000
 JET_RESAMPLE_BUDGET = 10_000
@@ -168,12 +168,21 @@ def _assemble(config: JetConfig, leaves, internal) -> GeneratedJet:
     def span_bits(first: int, last: int) -> int:
         # Leaves are indexed in generation order, so every subtree owns a
         # contiguous index range.
-        return full_mask(last + 1) ^ full_mask(first)
+        return ((1 << (last - first + 1)) - 1) << first
+
+    # log_splitting_density with its normaliser taken once per jet: lam was
+    # checked by JetConfig and every split parent has t > t_cut > 0.
+    lam = config.lam
+    norm = math.log(lam) - math.log1p(-math.exp(-lam))
+
+    def log_density(t: float, t_parent: float, log_t_parent: float) -> float:
+        return LOG_ZERO if t >= t_parent else norm - log_t_parent - lam * (t / t_parent)
 
     def split_log(vec: Vec, left: Vec, right: Vec) -> float:
         t = _mass2(*vec)
-        dl = log_splitting_density(max(_mass2(*left), 0.0), t, config.lam)
-        return dl + log_splitting_density(max(_mass2(*right), 0.0), t, config.lam)
+        log_t = math.log(t)
+        dl = log_density(max(_mass2(*left), 0.0), t, log_t)
+        return dl + log_density(max(_mass2(*right), 0.0), t, log_t)
 
     children = {
         span_bits(a, b): (span_bits(a, mid), span_bits(mid + 1, b))

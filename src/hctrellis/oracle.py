@@ -1,9 +1,9 @@
 """Brute-force enumeration of every hierarchy, for ground truth at small n.
 
-The enumeration recurses over pivot-containing subsets, so each unordered
-tree appears exactly once; it shares nothing with the trellis memo and is
+The enumeration builds every subset's trees from its pivot-containing
+splits, smaller subsets first, so each unordered tree appears exactly once; it shares nothing with the trellis memo and is
 the reference the dynamic programs are tested against.  Structure tables
-(tree lists, sibling-pair ids, containment masks) depend only on the leaf
+(the tree array, sibling-pair ids, containment masks) depend only on the leaf
 count and are cached per session.
 """
 
@@ -30,45 +30,63 @@ from .models import PotentialModel
 ORACLE_MAX_LEAVES = 8
 
 
-@lru_cache(maxsize=None)
-def _pair_rows(bits: int) -> tuple:
-    """All hierarchies over ``bits`` as tuples of (left, right) splits."""
-    if popcount(bits) == 1:
-        return ((),)
-    rows = []
-    for left in pivot_splits(bits):
-        right = bits ^ left
-        for lrow in _pair_rows(left):
-            for rrow in _pair_rows(right):
-                rows.append(((left, right),) + lrow + rrow)
-    return tuple(rows)
+# Trees per chunk when rows are turned back into Hierarchy objects.
+_ROWS_PER_CHUNK = 4096
 
 
 class _Structure:
-    """Model-independent enumeration artifacts for one leaf count."""
+    """Model-independent enumeration artifacts for one leaf count.
+
+    ``trees`` is one int32 (trees, n - 1) array of ids into ``pairs``: row i
+    lists tree i's splits in preorder, left subtree first.  A cluster's rows
+    are its splits in ``pivot_splits`` order, each split's block the product
+    of its children's rows (left rows outer, right rows inner), so every
+    unordered tree appears exactly once.
+    """
 
     def __init__(self, n: int):
         self.n = n
-        rows = _pair_rows(full_mask(n))
-        pair_ids: dict[tuple[int, int], int] = {}
-        for row in rows:
-            for pair in row:
-                if pair not in pair_ids:
-                    pair_ids[pair] = len(pair_ids)
-        self.pair_list = list(pair_ids)
-        self.pairs = (
-            np.array(self.pair_list, dtype=np.int64)
-            if self.pair_list
-            else np.zeros((0, 2), dtype=np.int64)
-        )
-        self.trees = np.array(
-            [[pair_ids[p] for p in row] for row in rows], dtype=np.int32
-        ).reshape(len(rows), n - 1)
-        self.rows = rows
+        self.pair_list: list[tuple[int, int]] = []
+        rows = {}
+        for bits in range(1, 1 << n):  # subsets precede their supersets
+            k = popcount(bits)
+            out = np.empty((num_hierarchies(k), k - 1), dtype=np.int32)
+            start = 0
+            for left in pivot_splits(bits) if k > 1 else ():
+                lrows, rrows = rows[left], rows[bits ^ left]
+                a, b, kl = len(lrows), len(rrows), lrows.shape[1]
+                block = out[start:start + a * b].reshape(a, b, k - 1)
+                block[:, :, 0] = len(self.pair_list)
+                block[:, :, 1:kl + 1] = lrows[:, None, :]
+                block[:, :, kl + 1:] = rrows[None, :, :]
+                self.pair_list.append((left, bits ^ left))
+                start += a * b
+            rows[bits] = out
+        self.trees = rows[full_mask(n)]
+        self.pairs = np.array(self.pair_list, dtype=np.int64).reshape(-1, 2)
+        self.pair_ids = {pair: i for i, pair in enumerate(self.pair_list)}
         self._containment: dict[int, np.ndarray] = {}
 
+    def hierarchies(self, start: int = 0, stop: int | None = None) -> Iterator[Hierarchy]:
+        """Trees ``start:stop`` in row order."""
+        full = full_mask(self.n)
+        stop = len(self.trees) if stop is None else stop
+        for a in range(start, stop, _ROWS_PER_CHUNK):
+            for row in self.pairs[self.trees[a:min(a + _ROWS_PER_CHUNK, stop)]].tolist():
+                yield Hierarchy.from_canonical(full, {l | r: (l, r) for l, r in row})
+
     def hierarchy(self, idx: int) -> Hierarchy:
-        return Hierarchy(full_mask(self.n), {l | r: (l, r) for l, r in self.rows[idx]})
+        return next(self.hierarchies(idx, idx + 1))
+
+    def index(self, h: Hierarchy) -> int:
+        """Row of the tree ``h``; KeyError if it is not a tree over all n leaves."""
+        flag = np.zeros(len(self.pairs), dtype=bool)
+        flag[[self.pair_ids[pair] for pair in h.children.values()]] = True
+        # Rows hold n - 1 distinct splits, so a row of flagged splits is h.
+        found = np.flatnonzero(flag[self.trees].all(axis=1))
+        if len(found) != 1 or h.root != full_mask(self.n):
+            raise KeyError("not a hierarchy over the ground set")
+        return int(found[0])
 
     def containment(self, bits: int) -> np.ndarray:
         """Boolean mask over trees: does the tree contain this cluster."""
@@ -99,11 +117,7 @@ def _leaf_count(ground) -> int:
 
 def enumerate_hierarchies(ground) -> Iterator[Hierarchy]:
     """Yield every hierarchy over the ground set exactly once."""
-    n = _leaf_count(ground)
-    struct = _structure(n)
-    full = full_mask(n)
-    for row in struct.rows:
-        yield Hierarchy(full, {l | r: (l, r) for l, r in row})
+    yield from _structure(_leaf_count(ground)).hierarchies()
 
 
 class OracleSummary:
@@ -115,7 +129,6 @@ class OracleSummary:
         self.tree_log_potentials = log_potentials
         self.log_z = log_sum_exp_array(log_potentials)
         self._map_idx = int(np.argmax(log_potentials))
-        self._sig_index: dict | None = None
 
     @property
     def map_log_potential(self) -> float:
@@ -139,24 +152,18 @@ class OracleSummary:
         return log_sum_exp_array(self.tree_log_potentials[mask]) - self.log_z
 
     def log_posterior(self, h: Hierarchy) -> float:
-        if self._sig_index is None:
-            self._sig_index = {
-                self._struct.hierarchy(i).signature(): i
-                for i in range(len(self.tree_log_potentials))
-            }
-        idx = self._sig_index[h.signature()]
+        idx = self._struct.index(h)
         return float(self.tree_log_potentials[idx]) - self.log_z
 
     def posterior_table(self) -> dict:
         """signature -> log posterior, over every hierarchy."""
         return {
-            self._struct.hierarchy(i).signature(): float(v) - self.log_z
-            for i, v in enumerate(self.tree_log_potentials)
+            h.signature(): v - self.log_z
+            for h, v in zip(self.hierarchies(), self.tree_log_potentials.tolist())
         }
 
     def hierarchies(self) -> Iterator[Hierarchy]:
-        for i in range(len(self.tree_log_potentials)):
-            yield self._struct.hierarchy(i)
+        return self._struct.hierarchies()
 
 
 def oracle_summary(ground, model: PotentialModel) -> OracleSummary:

@@ -274,6 +274,13 @@ class TestBitHelpers:
     def test_mask_roundtrip(self):
         assert leaf_indices(mask_of([0, 3, 5])) == [0, 3, 5]
 
+    def test_mask_of_refuses_repeated_index(self):
+        # OR-ing a repeat away would name a smaller cluster than was asked for
+        with pytest.raises(ValueError, match="leaf index 0 is repeated"):
+            mask_of([0, 0])
+        with pytest.raises(ValueError, match="repeated"):
+            mask_of([3, 1, 3])
+
     def test_lowest_leaf(self):
         assert lowest_leaf(0b10100) == 2
 

@@ -301,6 +301,17 @@ class TestCli:
             cluster_out.split("log_marginal=")[1].split()[0]
         )
 
+    def test_marginal_refuses_repeated_cluster_index(self, tmp_path, capsys):
+        data = tmp_path / "d.json"
+        save_dataset(pairwise_dataset(random_similarity_weights(4, 1)), data)
+        code = main(
+            ["marginal", "--data", str(data), "--model", "dasgupta",
+             "--cluster", "0,0", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert "log_marginal" not in out and "repeated" in err
+
     def test_marginal_requires_exactly_one_target(self, tmp_path):
         data = tmp_path / "d.json"
         _write_two_leaf_dataset(data)
