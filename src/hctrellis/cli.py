@@ -161,8 +161,7 @@ def cmd_sample(args, out: Path) -> int:
     start = time.perf_counter()
     samples = trellis.sample_many(args.count, args.seed)
     wall = time.perf_counter() - start
-    counts = Counter(h.signature() for h in samples)
-    by_sig = {h.signature(): h for h in samples}
+    counts = Counter(samples)  # equal trees hash and compare alike
     ranked = counts.most_common()
     sample_dir = out / "samples"
     sample_dir.mkdir(exist_ok=True)
@@ -170,12 +169,12 @@ def cmd_sample(args, out: Path) -> int:
         for k, h in enumerate(samples):
             hio.save_tree(h, sample_dir / f"sample_{k:05d}.json", model)
     else:
-        for rank, (sig, _) in enumerate(ranked):
-            hio.save_tree(by_sig[sig], sample_dir / f"distinct_{rank:04d}.json", model)
+        for rank, (h, _) in enumerate(ranked):
+            hio.save_tree(h, sample_dir / f"distinct_{rank:04d}.json", model)
     csv_path = out / "sample_frequencies.csv"
     rows = [
-        [rank, cnt, cnt / args.count, log_hierarchy_potential(by_sig[sig], model)]
-        for rank, (sig, cnt) in enumerate(ranked)
+        [rank, cnt, cnt / args.count, log_hierarchy_potential(h, model)]
+        for rank, (h, cnt) in enumerate(ranked)
     ]
     _write_csv(csv_path, ["rank", "count", "frequency", "log_phi"], rows)
     _record(

@@ -95,6 +95,18 @@ def mask_of(indices: Iterable[int]) -> int:
     return bits
 
 
+def integer_field(value, what: str) -> int:
+    """An integer field of a file: a JSON integer (not a boolean) or an
+    integer string (decimal digits, maybe a leading minus), the form bit sets
+    are written in.  Anything else, 12.9 or "3.7" included, is refused
+    rather than truncated."""
+    if isinstance(value, str) and value.removeprefix("-").isdecimal():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} must be an integer, not {value!r}")
+
+
 def pivot_splits(parent: int) -> Iterator[int]:
     """Left children of every proper split of ``parent``, ascending.
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import GroundSet, Hierarchy, popcount
+from .core import GroundSet, Hierarchy, integer_field, popcount
 from .jetgen import GeneratedJet, JetConfig
 from .models import (
     ConstantModel,
@@ -66,13 +66,6 @@ def _json_object(data, what: str) -> dict:
     return data
 
 
-def _integer(value, what: str) -> int:
-    try:
-        return int(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, not {value!r}") from None
-
-
 def dataset_to_dict(ds: Dataset) -> dict:
     out: dict = {"schema": ds.schema, "n": ds.n}
     if ds.labels:
@@ -100,9 +93,12 @@ def dataset_from_dict(data: dict) -> Dataset:
     except TypeError:
         raise ValueError(f"labels must be a list of leaf names, not {data['labels']!r}") from None
     if schema == SCHEMA_PAIRWISE:
-        n = _integer(data["n"], "n")
+        n = integer_field(data["n"], "n")
         try:
-            triples = [(int(i), int(j), float(w)) for i, j, w in data.get("weights", [])]
+            triples = [
+                (integer_field(i, "weight index"), integer_field(j, "weight index"), float(w))
+                for i, j, w in data.get("weights", [])
+            ]
         except TypeError as exc:
             raise ValueError(f"weights must be a list of [i, j, w] triples: {exc}") from None
         return Dataset(schema, n, weights=PairwiseWeights.from_triples(n, triples), labels=labels)
@@ -177,8 +173,8 @@ def hierarchy_to_tree_dict(h: Hierarchy, model: PotentialModel | None = None) ->
 def tree_dict_to_hierarchy(data: dict) -> Hierarchy:
     data = _json_object(data, "tree")
     try:
-        clusters = [int(c) for c in data["clusters"]]
-        parents = [int(p) for p in data["parents"]]
+        clusters = [integer_field(c, "cluster") for c in data["clusters"]]
+        parents = [integer_field(p, "parent index") for p in data["parents"]]
     except TypeError as exc:
         raise ValueError(f"clusters and parents must be lists of integers: {exc}") from None
     if len(clusters) != len(parents):
@@ -202,7 +198,7 @@ def tree_dict_to_hierarchy(data: dict) -> Hierarchy:
             raise ValueError("every internal node needs exactly two children")
         children[parent] = (pair[0], pair[1])
     h = Hierarchy(root, children)
-    h.validate(n=_integer(data["n"], "n"))
+    h.validate(n=integer_field(data["n"], "n"))
     return h
 
 

@@ -123,6 +123,117 @@ class TestJetFiles:
         assert back.config.t_cut == jet.config.t_cut
 
 
+def _small_files() -> dict:
+    """The dicts the writers make for a 3-leaf trellis, dataset and tree."""
+    from hctrellis import Hierarchy, LeafOrdering, SparseTrellis, build_from_trees
+    from hctrellis.io import dataset_to_dict
+
+    trees = [Hierarchy(7, {7: (1, 6), 6: (2, 4)}), Hierarchy(7, {7: (3, 4), 3: (1, 2)})]
+    return {
+        "trellis": (build_from_trees(trees, LeafOrdering("random", seed=5)).to_dict(),
+                    SparseTrellis.from_dict),
+        "dataset": (dataset_to_dict(pairwise_dataset(random_similarity_weights(3, 1))),
+                    dataset_from_dict),
+        "tree": (hierarchy_to_tree_dict(trees[0]), tree_dict_to_hierarchy),
+    }
+
+
+# (file kind, the field's name in the error, where it sits in the dict)
+INTEGER_FIELDS = [
+    ("trellis", "n", ("n",)),
+    ("trellis", "vertex bits", ("vertices", -1, "bits")),
+    ("trellis", "pair member", ("vertices", -1, "pairs", 0, 1)),
+    ("trellis", "ordering seed", ("ordering", "seed")),
+    ("dataset", "n", ("n",)),
+    ("dataset", "weight index", ("weights", 1, 1)),
+    ("tree", "n", ("n",)),
+    ("tree", "parent index", ("parents", 2)),
+    ("tree", "cluster", ("clusters", 1)),
+]
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("kind, what, path", INTEGER_FIELDS,
+                             ids=[f"{k}_{w.replace(' ', '_')}" for k, w, _ in INTEGER_FIELDS])
+    def test_non_integral_value_refused(self, kind, what, path):
+        # int() would truncate each of these to a valid looking integer
+        data, read = _small_files()[kind]
+        *outer, key = path
+        holder = data
+        for step in outer:
+            holder = holder[step]
+        value = int(holder[key])
+        read(json.loads(json.dumps(data)))  # the file as written loads
+        for bad in (value + 0.9, float(value), True, f"{value}.7", f"{value}e0"):
+            holder[key] = bad
+            with pytest.raises(ValueError, match=f"{what} must be an integer, not "):
+                read(json.loads(json.dumps(data)))
+
+    def test_integer_strings_and_ints_accepted(self):
+        from hctrellis.core import integer_field
+
+        assert [integer_field(v, "x") for v in (12, "12", -1, "-1", str(2**64 - 1))] == [
+            12, 12, -1, -1, 2**64 - 1]
+        for bad in (False, 12.0, "12.0", "", "-", "0x10", "1_2", " 12", "+12", [12]):
+            with pytest.raises(ValueError, match="x must be an integer"):
+                integer_field(bad, "x")
+
+    def test_written_files_load_and_rewrite_byte_for_byte(self, tmp_path):
+        from hctrellis import SparseTrellis, build_simulator_trellis
+        from hctrellis.jetgen import JetConfig
+        from hctrellis.sparse import LeafOrdering
+
+        st = build_simulator_trellis(JetConfig(seed=2, leaf_count_filter=(7, 7)), 12,
+                                     LeafOrdering("random", seed=3))
+        st.save(tmp_path / "a.json")
+        SparseTrellis.load(tmp_path / "a.json").save(tmp_path / "b.json")
+        ds = pairwise_dataset(random_similarity_weights(6, 2), labels=tuple("abcdef"))
+        save_dataset(ds, tmp_path / "c.json")
+        save_dataset(load_dataset(tmp_path / "c.json"), tmp_path / "d.json")
+        tree = exact_leaf_jet(7, 5).tree
+        save_tree(tree, tmp_path / "e.json")
+        save_tree(load_tree(tmp_path / "e.json"), tmp_path / "f.json")
+        for a, b in ("ab", "cd", "ef"):
+            assert (tmp_path / f"{a}.json").read_bytes() == (tmp_path / f"{b}.json").read_bytes()
+
+
+class TestTrellisFileRefusals:
+    def _saved(self, tmp_path, capsys) -> dict:
+        out = tmp_path / "build"
+        path = tmp_path / "t.json"
+        args = ["sparse", "--builder", "sim", "--n-leaves", "12", "--num-seeds", "40",
+                "--root", "200,0,0,100", "--save-trellis", str(path), "--out", str(out)]
+        assert main(args) == 0
+        capsys.readouterr()
+        return json.loads(path.read_text())
+
+    def _load(self, tmp_path, data, capsys):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(data))
+        status = main(["sparse", "--load-trellis", str(path), "--out", str(tmp_path / "load")])
+        return status, capsys.readouterr()
+
+    def test_repeated_vertex_refused(self, tmp_path, capsys):
+        # a dict built entry by entry kept only the last of the two roots:
+        # 24 vertices and 13 edges instead of 275 and 317, with exit 0
+        data = self._saved(tmp_path, capsys)
+        root = data["vertices"][-1]
+        assert int(root["bits"]) == (1 << 12) - 1 and len(root["pairs"]) > 1
+        data["vertices"].append({"bits": root["bits"], "pairs": root["pairs"][:1]})
+        status, captured = self._load(tmp_path, data, capsys)
+        assert status == 2
+        assert "vertex bits 4095 are listed twice" in captured.err
+        assert "trellis:" not in captured.out
+
+    def test_non_integral_leaf_count_refused(self, tmp_path, capsys):
+        data = self._saved(tmp_path, capsys)
+        status, captured = self._load(tmp_path, data, capsys)
+        assert status == 0 and "275 vertices, 317 edges" in captured.out
+        data["n"] = 12.9
+        status, captured = self._load(tmp_path, data, capsys)
+        assert status == 2 and "n must be an integer, not 12.9" in captured.err
+
+
 def _write_two_leaf_dataset(path):
     save_dataset(pairwise_dataset(PairwiseWeights.from_triples(2, [(0, 1, 0.5)])), path)
 
