@@ -175,10 +175,12 @@ def _ranked(neg_keys: np.ndarray, parts: np.ndarray, first: int):
 
 
 def _integer(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if not isinstance(value, bool):  # np.bool_ has no __index__
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 @np.errstate(over="ignore")  # scores past the float range are -inf

@@ -1,4 +1,8 @@
-"""Synthetic instances for experiments and tests."""
+"""Synthetic instances for experiments and tests.
+
+The weight generators draw w[i, j] for i < j in row-major order, one value
+of the seed's stream per pair: that order is part of every seeded instance.
+"""
 
 from __future__ import annotations
 
@@ -7,26 +11,24 @@ import numpy as np
 from .models import PairwiseWeights
 
 
+def _uniform_weights(n: int, seed, low: float, high: float) -> PairwiseWeights:
+    w = np.zeros((n, n))
+    upper = np.triu_indices(n, 1)
+    w[upper] = np.random.default_rng(seed).uniform(low, high, size=len(upper[0]))
+    w.T[upper] = w[upper]
+    return PairwiseWeights(w)
+
+
 def random_similarity_weights(n: int, seed, low: float = 0.0, high: float = 1.0) -> PairwiseWeights:
     """Nonnegative symmetric weights, e.g. for cut-cost scoring."""
     if low < 0:
         raise ValueError("similarities must be nonnegative")
-    rng = np.random.default_rng(seed)
-    w = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            w[i, j] = w[j, i] = rng.uniform(low, high)
-    return PairwiseWeights(w)
+    return _uniform_weights(n, seed, low, high)
 
 
 def random_affinity_weights(n: int, seed) -> PairwiseWeights:
     """Signed symmetric affinities in [-1, 1]."""
-    rng = np.random.default_rng(seed)
-    w = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            w[i, j] = w[j, i] = rng.uniform(-1.0, 1.0)
-    return PairwiseWeights(w)
+    return _uniform_weights(n, seed, -1.0, 1.0)
 
 
 # Frozen instance: the first seed, counting from 0, at which the exact MAP

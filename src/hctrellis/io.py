@@ -229,11 +229,13 @@ def jet_to_dict(jet: GeneratedJet) -> dict:
 def jet_from_dict(data: dict) -> GeneratedJet:
     leaves = _leaves_from_dicts(data["leaves"])
     seed = data["seed"]
+    if isinstance(seed, list):
+        seed = tuple(integer_field(s, "seed entry") for s in seed)
     config = JetConfig(
         root=sum(leaves[1:], leaves[0]),
         lam=float(data["lam"]),
         t_cut=float(data["t_cut"]),
-        seed=tuple(seed) if isinstance(seed, list) else seed,
+        seed=seed if isinstance(seed, tuple) else integer_field(seed, "seed"),
     )
     return GeneratedJet(
         tree=tree_dict_to_hierarchy(data["tree"]),

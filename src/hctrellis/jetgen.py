@@ -10,9 +10,9 @@ of every performed split are recorded alongside the leaves.
 
 The feasibility rejection (sqrt(tL) + sqrt(tR) <= sqrt(tP)) is required by
 two-body kinematics but is not part of the splitting density itself, so
-the recorded likelihood is the product of the raw densities (exactly what
-the scoring model assigns to the true tree), not the rejection-normalized
-sampling density.
+the recorded likelihood is the product of the raw densities, each child
+scored by ``models.log_splitting_density`` (exactly what the scoring model
+assigns to the true tree), not the rejection-normalized sampling density.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from itertools import chain
 
 import numpy as np
 
-from .core import LOG_ZERO, Hierarchy, full_mask
-from .models import FourVector, _mass2
+from .core import Hierarchy, full_mask
+from .models import FourVector, _mass2, log_splitting_density
 
 SPLIT_REJECT_BUDGET = 10_000
 JET_RESAMPLE_BUDGET = 10_000
@@ -170,19 +170,11 @@ def _assemble(config: JetConfig, leaves, internal) -> GeneratedJet:
         # contiguous index range.
         return ((1 << (last - first + 1)) - 1) << first
 
-    # log_splitting_density with its normaliser taken once per jet: lam was
-    # checked by JetConfig and every split parent has t > t_cut > 0.
-    lam = config.lam
-    norm = math.log(lam) - math.log1p(-math.exp(-lam))
-
-    def log_density(t: float, t_parent: float, log_t_parent: float) -> float:
-        return LOG_ZERO if t >= t_parent else norm - log_t_parent - lam * (t / t_parent)
-
     def split_log(vec: Vec, left: Vec, right: Vec) -> float:
-        t = _mass2(*vec)
-        log_t = math.log(t)
-        dl = log_density(max(_mass2(*left), 0.0), t, log_t)
-        return dl + log_density(max(_mass2(*right), 0.0), t, log_t)
+        t, lam = _mass2(*vec), config.lam
+        # a child's squared mass can round to just below 0; it is read as 0
+        dl = log_splitting_density(max(_mass2(*left), 0.0), t, lam)
+        return dl + log_splitting_density(max(_mass2(*right), 0.0), t, lam)
 
     children = {
         span_bits(a, b): (span_bits(a, mid), span_bits(mid + 1, b))

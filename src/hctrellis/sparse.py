@@ -17,8 +17,7 @@ in id order, lays out the CSR split table over those ids: per-vertex pair
 counts and first pairs, flat left and right child ids, the id range of
 each cluster size and the chain plan below.  For 300 24-leaf simulator
 trees (3871 vertices, 4378 edges) the two passes take about 12 ms on a
-shared Xeon under CPython 3.11, against 16 ms for the earlier four
-(canonicalize, prune, table, chain plan).  Counting and
+shared Xeon under CPython 3.11.  Counting and
 evaluation slice it one size at a time; the count runs
 ``core.tree_counts``, the dense engine's kernel.  An evaluation primes the
 model's per-cluster aggregates for every vertex in one batch, calls scalar

@@ -259,8 +259,6 @@ class DenseTrellis:
         g = Z + s u built once per level; otherwise one psi call per chunk
         scores its pairs, smaller cluster first.  Singletons are never
         written: they stay 0.0."""
-        if self._log_p is not None:
-            return self._log_p
         log_z, n, full = self.log_z_table, self.ground.n, self.ground.full
         if log_z[full] == LOG_ZERO:
             raise ValueError("degenerate posterior: partition function is zero")

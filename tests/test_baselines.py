@@ -343,6 +343,13 @@ class TestBeam:
         with pytest.raises(ValueError, match="lookahead"):
             beam_search_forest(make_model("dasgupta", 7, seed=1), lookahead=lookahead)
 
+    @pytest.mark.parametrize("name", ["beam_width", "lookahead"])
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True)], ids=repr)
+    def test_booleans_rejected(self, name, value):
+        # True ran a width-1 beam and False lookahead 0
+        with pytest.raises(ValueError, match=f"{name.replace('_', ' ')} must be an integer"):
+            beam_search_forest(make_model("dasgupta", 7, seed=1), **{name: value})
+
     def test_numpy_integers_accepted(self):
         model = make_model("dasgupta", 7, seed=1)
         got = beam_search_forest(model, np.int64(2), np.int32(2))

@@ -202,6 +202,21 @@ class TestHierarchy:
         with pytest.raises(ValueError):
             h.validate()
 
+    def test_validate_left_child_without_lowest_leaf(self):
+        # the constructor orients every pair; from_canonical leaves them as given
+        h = Hierarchy.from_canonical(0b111, {0b111: (0b110, 0b001), 0b110: (0b010, 0b100)})
+        with pytest.raises(ValueError, match="left child must hold the lowest leaf"):
+            h.validate()
+
+    def test_validate_wrong_node_count(self):
+        # A negative int is an infinite bit set and -8 reads as a singleton:
+        # three leaves under a root of popcount 2, one spare entry hiding it
+        # from the child-map count.  Over nonnegative clusters the other
+        # checks already imply 2k - 1 nodes.
+        h = Hierarchy.from_canonical(-5, {-5: (1, -6), -6: (2, -8), 0b1100: (4, 8)})
+        with pytest.raises(ValueError, match="node count is not 2k-1"):
+            h.validate()
+
     def test_validate_root_outside_ground(self):
         with pytest.raises(ValueError):
             _chain(4).validate(n=3)

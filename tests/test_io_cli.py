@@ -20,6 +20,8 @@ from hctrellis.io import (
     dataset_from_dict,
     fourvector_dataset,
     hierarchy_to_tree_dict,
+    jet_from_dict,
+    jet_to_dict,
     load_dataset,
     load_jet,
     load_tree,
@@ -121,6 +123,28 @@ class TestJetFiles:
         assert back.truth_log_likelihood == jet.truth_log_likelihood
         assert back.config.lam == jet.config.lam
         assert back.config.t_cut == jet.config.t_cut
+
+    @pytest.mark.parametrize("seed, expected", [(7, 7), ("7", 7), ([5, 1, 4], (5, 1, 4))],
+                             ids=["int", "int_string", "list"])
+    def test_integer_seeds_accepted(self, seed, expected):
+        data = jet_to_dict(exact_leaf_jet(5, 4))
+        data["seed"] = seed
+        assert jet_from_dict(data).config.seed == expected
+
+    @pytest.mark.parametrize("seed, message", [
+        (3.5, "seed must be an integer, not 3.5"),
+        (True, "seed must be an integer, not True"),
+        ("x", "seed must be an integer, not 'x'"),
+        ([5, 1.5], "seed entry must be an integer, not 1.5"),
+        ([5, False], "seed entry must be an integer, not False"),
+    ])
+    def test_non_integral_seed_refused(self, seed, message):
+        # such a seed loaded, and generate_jet on its config raised TypeError
+        data = jet_to_dict(exact_leaf_jet(5, 4))
+        data["seed"] = seed
+        with pytest.raises(ValueError) as info:
+            jet_from_dict(data)
+        assert str(info.value) == message
 
 
 def _small_files() -> dict:
@@ -522,6 +546,22 @@ class TestCli:
         closed = num_hierarchies(n)
         assert f"n={n}: {closed} hierarchies (closed form {closed})" in capsys.readouterr().out
 
+    def test_count_from_dataset_file(self, tmp_path, capsys):
+        data = tmp_path / "d.json"
+        save_dataset(pairwise_dataset(random_similarity_weights(6, 1)), data)
+        assert main(["count", "--data", str(data), "--out", str(tmp_path)]) == 0
+        closed = num_hierarchies(6)
+        assert f"n=6: {closed} hierarchies (closed form {closed})" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
+    def test_count_needs_exactly_one_source(self, tmp_path, capsys, both):
+        data = tmp_path / "d.json"
+        _write_two_leaf_dataset(data)
+        extra = ["--n", "2", "--data", str(data)] if both else []
+        assert main(["count", *extra, "--out", str(tmp_path)]) == 2
+        assert "pass exactly one of --n or --data" in capsys.readouterr().err
+        assert not (tmp_path / "records.jsonl").exists()
+
     def test_config_file_defaults(self, tmp_path, capsys):
         data = tmp_path / "d.json"
         _write_two_leaf_dataset(data)
@@ -584,10 +624,16 @@ class TestCliRefusals:
         ("trellis", {"n": None, "vertices": []}, "n must be an integer"),
         ("trellis", {"n": 2, "vertices": [], "ordering": 5}, "mode/seed object"),
         ("trellis", {"n": 2, "vertices": [], "ordering": [1]}, "mode/seed object"),
+        ("tree", {"n": 2, "parents": [-1], "clusters": ["0"]}, "empty root cluster"),
+        ("tree", {"n": 2, "parents": [-1, 0, 0, 1, 1], "clusters": ["3", "1", "2", "4", "8"]},
+         "singleton listed as an internal node"),
+        ("tree", {"n": 2, "parents": [-1, 0, 0], "clusters": ["3", "3", "0"]},
+         "empty child cluster"),
     ], ids=["tree_index_past_end", "tree_index_below_root", "dataset_list",
             "dataset_weights_int", "dataset_leaves_int", "trellis_list", "trellis_vertices_int",
             "dataset_n_null", "dataset_labels_int", "fourvector_labels_int", "tree_parents_int",
-            "trellis_n_null", "trellis_ordering_int", "trellis_ordering_list"])
+            "trellis_n_null", "trellis_ordering_int", "trellis_ordering_list",
+            "tree_empty_root", "tree_singleton_split", "tree_empty_child"])
     def test_malformed_input_file_exits_2(self, tmp_path, capsys, kind, payload, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
@@ -601,6 +647,44 @@ class TestCliRefusals:
         assert main([*args, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert message in err and "internal error" not in err
+
+    @pytest.mark.parametrize("args, message", [
+        (["generate", "--root", "100,0,80"], "--root needs E,px,py,pz"),
+        (["generate", "--min-leaves", "4"], "pass both --min-leaves and --max-leaves or neither"),
+        (["baselines"], "pass exactly one of --corpus or --data"),
+        (["baselines", "--corpus", "{corpus}", "--data", "{data}"],
+         "pass exactly one of --corpus or --data"),
+        (["sparse", "--builder", "xyz"], "--builder must be sim or bs"),
+        (["sparse", "--n-leaves", "5", "--num-seeds", "2", "--test-corpus", "{corpus}"],
+         "test corpus leaf count does not match the trellis"),
+    ], ids=["root_three_components", "min_leaves_alone", "baselines_neither",
+            "baselines_both", "sparse_unknown_builder", "sparse_corpus_leaf_count"])
+    def test_argument_refusals_exit_2(self, tmp_path, capsys, args, message):
+        data, corpus = tmp_path / "d.json", tmp_path / "corpus"
+        _write_two_leaf_dataset(data)
+        _generate_corpus(corpus, count=2, leaves=(4, 4))
+        capsys.readouterr()
+        args = [a.format(data=data, corpus=corpus) for a in args]
+        assert main([*args, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
+        assert not (tmp_path / "out" / "records.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["baselines", "sparse"])
+    def test_corpus_jet_with_non_integral_seed_exits_2(self, tmp_path, capsys, command):
+        corpus = tmp_path / "corpus"
+        _generate_corpus(corpus, count=2, leaves=(5, 5))
+        first = corpus / "jet_00000.json"
+        first.write_text(json.dumps(dict(json.loads(first.read_text()), seed=3.5)))
+        capsys.readouterr()
+        args = {
+            "baselines": ["baselines", "--corpus", str(corpus), "--model", "ginkgo"],
+            "sparse": ["sparse", "--n-leaves", "5", "--num-seeds", "2",
+                       "--test-corpus", str(corpus)],
+        }[command]
+        assert main([*args, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be an integer, not 3.5" in err and "internal error" not in err
 
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_sample_refuses_nonpositive_count(self, tmp_path, capsys, count):

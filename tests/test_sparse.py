@@ -27,7 +27,7 @@ from hctrellis import (
 )
 import hctrellis.core
 import hctrellis.sparse
-from hctrellis.core import LOG_ZERO, full_mask, log_sum_exp
+from hctrellis.core import LOG_ZERO, full_mask, log_sum_exp, popcount
 from hctrellis.datasets import random_affinity_weights, random_similarity_weights
 from hctrellis.jetgen import JetConfig, generate_jet
 from hctrellis.sparse import (
@@ -58,6 +58,10 @@ class TestBuildFromTrees:
         assert st.count_trees() == 1
         assert st.sparsity_index() == Fraction(1, num_hierarchies(6))
         assert st.realizes(jet.tree)
+        # the larger child's subtree: every pair is stored, but not its root
+        child = max(jet.tree.children[jet.tree.root], key=popcount)
+        sub = {p: pair for p, pair in jet.tree.children.items() if p & child == p}
+        assert sub and not st.realizes(Hierarchy(child, sub))
 
     def test_single_tree_sparsity_fractions(self):
         st4 = build_from_trees([exact_leaf_jet(4, 2).tree])
@@ -136,6 +140,18 @@ class TestOrderings:
         trees = list(enumerate_hierarchies(4))
         st = build_from_trees(trees, LeafOrdering("standard"))
         assert st.count_trees() < 15
+
+    @pytest.mark.parametrize("mode", ["standard", "random", "norm_ascending"])
+    def test_one_tree_trellis_scores_the_tree_under_ordered_payloads(self, mode):
+        ordering = LeafOrdering(mode, seed=4)
+        for jet in _jet_set(9, 5, seed=6):
+            st = build_from_trees([jet.tree], ordering, [jet.payloads])
+            assert st.count_trees() == 1
+            value, _ = st.evaluate(
+                GinkgoModel(ordering.order_payloads(jet.payloads), lam=1.5)
+            ).map_hierarchy()
+            expected = log_hierarchy_potential(jet.tree, GinkgoModel(jet.payloads, lam=1.5))
+            assert value == pytest.approx(expected, abs=1e-9)
 
     def test_each_mode_yields_valid_trellis(self):
         jets = _jet_set(7, 5, seed=8)
