@@ -2,7 +2,10 @@
 
 Commands: generate, z, map, marginal, sample, baselines, sparse, bench,
 count.  Structured artifacts are JSON, tables are CSV, and every run
-appends one line to records.jsonl in the output directory.  Exit codes:
+appends one line to records.jsonl in the output directory.  ``--config
+FILE``, before the command, names a JSON object of option values keyed
+by their argparse names (``lam`` for ``--lambda``); they are read as the
+command's flags ahead of the explicit ones, which win.  Exit codes:
 0 success, 2 invalid input, 1 internal error.
 """
 
@@ -59,15 +62,9 @@ def _beam_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lookahead", type=int, default=1)
 
 
-def _common_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=".", help="output directory")
-
-
-def _record(args, out: Path, **fields) -> dict:
+def _record(args, out: Path, **fields) -> None:
     record = {"command": args.command, "seed": args.seed, **fields}
     hio.append_record(out / "records.jsonl", record)
-    return record
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -81,50 +78,50 @@ def _build_model(args, ds: hio.Dataset):
     return hio.build_model(ds, args.model, ModelParams(beta=args.beta, lam=args.lam))
 
 
+def _provenance(args, path=None) -> dict:
+    """The record fields naming the model and, given its path, the input file."""
+    digest = {} if path is None else {"dataset_sha256": hio.file_sha256(path)}
+    return {"model": args.model, "beta": args.beta, "lam": args.lam, **digest}
+
+
 def _load_instance(args):
+    """The ``--data`` dataset, its bound model and the record's provenance."""
     ds = hio.load_dataset(args.data)
-    return ds, _build_model(args, ds), hio.file_sha256(args.data)
-
-
-def _model_fields(args) -> dict:
-    return {"model": args.model, "beta": args.beta, "lam": args.lam}
+    return ds, _build_model(args, ds), _provenance(args, args.data)
 
 
 # ---------------------------------------------------------------------------
 # inference commands
 
 
-def cmd_z(args, out: Path) -> int:
-    ds, model, digest = _load_instance(args)
+def _fill(args):
+    """Fill the ``--data`` instance's dense trellis: leaf count, model, MAP
+    tree, and the record fields with log Z and the MAP value."""
+    ds, model, fields = _load_instance(args)
     start = time.perf_counter()
     trellis = DenseTrellis(ds.ground(), model)
     log_z = trellis.log_partition()
-    log_map, _ = trellis.map_hierarchy()  # same pass fills both memos
-    wall = time.perf_counter() - start
-    _record(
-        args, out, dataset_sha256=digest, **_model_fields(args),
-        log_z=log_z, log_map=log_map, wall_time=wall,
-        op_count=trellis.operation_count(),
-    )
-    print(f"n={ds.n} log_z={log_z:.12g} ops={trellis.operation_count()} wall={wall:.3f}s")
+    log_map, tree = trellis.map_hierarchy()  # same pass fills both memos
+    fields.update(log_z=log_z, log_map=log_map, wall_time=time.perf_counter() - start,
+                  op_count=trellis.operation_count())
+    return ds.n, model, tree, fields
+
+
+def cmd_z(args, out: Path) -> int:
+    n, _, _, fields = _fill(args)
+    _record(args, out, **fields)
+    print(f"n={n} log_z={fields['log_z']:.12g} ops={fields['op_count']} "
+          f"wall={fields['wall_time']:.3f}s")
     return 0
 
 
 def cmd_map(args, out: Path) -> int:
-    ds, model, digest = _load_instance(args)
-    start = time.perf_counter()
-    trellis = DenseTrellis(ds.ground(), model)
-    log_z = trellis.log_partition()
-    value, tree = trellis.map_hierarchy()
-    wall = time.perf_counter() - start
+    n, model, tree, fields = _fill(args)
     tree_path = out / args.tree_name
     hio.save_tree(tree, tree_path, model)
-    _record(
-        args, out, dataset_sha256=digest, **_model_fields(args),
-        log_z=log_z, log_map=value, wall_time=wall,
-        op_count=trellis.operation_count(), tree_file=tree_path.name,
-    )
-    print(f"n={ds.n} log_map={value:.12g} log_z={log_z:.12g} tree={tree_path}")
+    _record(args, out, **fields, tree_file=tree_path.name)
+    value = fields["log_map"]
+    print(f"n={n} log_map={value:.12g} log_z={fields['log_z']:.12g} tree={tree_path}")
     if value == float("-inf"):  # then the tree is an arbitrary one
         print("degenerate instance: every hierarchy has zero potential", file=sys.stderr)
     elif args.model == "dasgupta":
@@ -133,7 +130,7 @@ def cmd_map(args, out: Path) -> int:
 
 
 def cmd_marginal(args, out: Path) -> int:
-    ds, model, digest = _load_instance(args)
+    ds, model, fields = _load_instance(args)
     trellis = DenseTrellis(ds.ground(), model)
     if (args.cluster is None) == (args.fragment is None):
         raise ValueError("pass exactly one of --cluster or --fragment")
@@ -145,10 +142,7 @@ def cmd_marginal(args, out: Path) -> int:
         fragment = hio.load_tree(args.fragment)
         value = trellis.marginal_subhierarchy(fragment)
         target = {"fragment": Path(args.fragment).name}
-    _record(
-        args, out, dataset_sha256=digest, **_model_fields(args),
-        log_z=trellis.log_partition(), log_marginal=value, **target,
-    )
+    _record(args, out, **fields, log_z=trellis.log_partition(), log_marginal=value, **target)
     print(f"log_marginal={value:.12g} (probability {math.exp(value):.6g})")
     return 0
 
@@ -156,7 +150,7 @@ def cmd_marginal(args, out: Path) -> int:
 def cmd_sample(args, out: Path) -> int:
     if args.count < 1:
         raise ValueError("--count must be positive")
-    ds, model, digest = _load_instance(args)
+    ds, model, fields = _load_instance(args)
     trellis = DenseTrellis(ds.ground(), model)
     start = time.perf_counter()
     samples = trellis.sample_many(args.count, args.seed)
@@ -178,8 +172,7 @@ def cmd_sample(args, out: Path) -> int:
     ]
     _write_csv(csv_path, ["rank", "count", "frequency", "log_phi"], rows)
     _record(
-        args, out, dataset_sha256=digest, **_model_fields(args),
-        log_z=trellis.log_partition(), draws=args.count,
+        args, out, **fields, log_z=trellis.log_partition(), draws=args.count,
         distinct=len(counts), wall_time=wall,
     )
     print(f"{args.count} draws, {len(counts)} distinct trees -> {csv_path}")
@@ -203,11 +196,9 @@ def _jet_config(args, leaf_filter) -> JetConfig:
 def cmd_generate(args, out: Path) -> int:
     if args.count < 1:
         raise ValueError("--count must be positive")
-    leaf_filter = None
-    if args.min_leaves is not None or args.max_leaves is not None:
-        if args.min_leaves is None or args.max_leaves is None:
-            raise ValueError("pass both --min-leaves and --max-leaves or neither")
-        leaf_filter = (args.min_leaves, args.max_leaves)
+    if (args.min_leaves is None) != (args.max_leaves is None):
+        raise ValueError("pass both --min-leaves and --max-leaves or neither")
+    leaf_filter = None if args.min_leaves is None else (args.min_leaves, args.max_leaves)
     config = _jet_config(args, leaf_filter)
     start = time.perf_counter()
     files = []
@@ -245,9 +236,9 @@ def cmd_baselines(args, out: Path) -> int:
             _build_model(args, hio.fourvector_dataset(jet.payloads))
             for jet in _load_corpus(args.corpus)
         ]
-        digest = hio.file_sha256(Path(args.corpus) / "manifest.json")
+        fields = _provenance(args, Path(args.corpus) / "manifest.json")
     else:
-        _, model, digest = _load_instance(args)
+        _, model, fields = _load_instance(args)
         models = [model]
     for idx, model in enumerate(models):
         if model.n > DENSE_MAX_LEAVES:
@@ -280,8 +271,7 @@ def cmd_baselines(args, out: Path) -> int:
         for name, vals in gaps.items()
     }
     _record(
-        args, out, dataset_sha256=digest, **_model_fields(args),
-        beam_width=args.beam_width, lookahead=args.lookahead,
+        args, out, **fields, beam_width=args.beam_width, lookahead=args.lookahead,
         instances=len(rows), wall_time=wall, summary=summary,
     )
     for name, stats in summary.items():
@@ -295,12 +285,12 @@ def cmd_sparse(args, out: Path) -> int:
     ordering = LeafOrdering(args.ordering, seed)
     if args.load_trellis:
         trellis = SparseTrellis.load(args.load_trellis)
-        build = {"trellis_file": Path(args.load_trellis).name}
+        record = {"trellis_file": Path(args.load_trellis).name}
     else:
-        build = {"builder": args.builder, "n_leaves": args.n_leaves, "num_seeds": args.num_seeds,
-                 "ordering": args.ordering, "ordering_seed": seed}
+        record = {"builder": args.builder, "n_leaves": args.n_leaves,
+                  "num_seeds": args.num_seeds, "ordering": args.ordering, "ordering_seed": seed}
         if args.builder == "bs":
-            build.update(beam_width=args.beam_width, lookahead=args.lookahead)
+            record.update(beam_width=args.beam_width, lookahead=args.lookahead)
         base = _jet_config(args, (args.n_leaves, args.n_leaves))
         if args.builder == "sim":
             trellis = build_simulator_trellis(base, args.num_seeds, ordering)
@@ -318,15 +308,14 @@ def cmd_sparse(args, out: Path) -> int:
     if args.save_trellis:
         trellis.save(args.save_trellis)
     sparsity = trellis.sparsity_index()
+    record.update(vertices=trellis.num_vertices(), edges=trellis.num_edges(),
+                  sparsity=float(sparsity))
     print(
-        f"trellis: {trellis.num_vertices()} vertices, {trellis.num_edges()} edges, "
+        f"trellis: {record['vertices']} vertices, {record['edges']} edges, "
         f"sparsity={float(sparsity):.3g} ({sparsity.numerator}/{sparsity.denominator})"
     )
     if not args.test_corpus:
-        _record(
-            args, out, **build, vertices=trellis.num_vertices(), edges=trellis.num_edges(),
-            sparsity=float(sparsity),
-        )
+        _record(args, out, **record)
         return 0
     jets = _load_corpus(args.test_corpus)
     # past the dense cap the full-MAP column stays blank
@@ -335,11 +324,8 @@ def cmd_sparse(args, out: Path) -> int:
     for idx, jet in enumerate(jets):
         if jet.num_leaves() != trellis.ground.n:
             raise ValueError("test corpus leaf count does not match the trellis")
-        payloads = (
-            trellis.ordering.order_payloads(jet.payloads)
-            if trellis.ordering is not None
-            else list(jet.payloads)
-        )
+        # the standard ordering binds the payloads as they are
+        payloads = (trellis.ordering or LeafOrdering()).order_payloads(jet.payloads)
         model = GinkgoModel(payloads, lam=args.lam)
         sparse_map, _ = trellis.evaluate(model).map_hierarchy()
         greedy_score, _ = greedy_cluster(model)
@@ -352,8 +338,7 @@ def cmd_sparse(args, out: Path) -> int:
     mean_rel = statistics.fmean(r[1] - r[2] for r in rows)
     mean_full_rel = statistics.fmean(r[3] - r[2] for r in rows) if full else None
     _record(
-        args, out, **build, vertices=trellis.num_vertices(), edges=trellis.num_edges(),
-        sparsity=float(sparsity), instances=len(rows),
+        args, out, **record, instances=len(rows),
         mean_sparse_map_minus_greedy=mean_rel, mean_full_map_minus_greedy=mean_full_rel,
     )
     print(f"mean(sparse MAP - greedy) = {mean_rel:.4f}")
@@ -396,7 +381,7 @@ def cmd_bench(args, out: Path) -> int:
     csv_path = out / "bench.csv"
     _write_csv(csv_path, ["n", "ops", "ops_closed_form", "ops_ratio", "wall_fill_s",
                           "wall_map_s", "wall_marginals_s", "ns_per_term"], rows)
-    _record(args, out, **_model_fields(args), n_min=args.n_min, n_max=args.n_max)
+    _record(args, out, **_provenance(args), n_min=args.n_min, n_max=args.n_max)
     print(f"bench table -> {csv_path}")
     if args.n_max >= 8:
         final_ratio = rows[-1][3]
@@ -409,10 +394,7 @@ def cmd_bench(args, out: Path) -> int:
 def cmd_count(args, out: Path) -> int:
     if (args.n is None) == (args.data is None):
         raise ValueError("pass exactly one of --n or --data")
-    if args.n is not None:
-        n = args.n
-    else:
-        n = hio.load_dataset(args.data).n
+    n = args.n if args.n is not None else hio.load_dataset(args.data).n
     closed = num_hierarchies(n)
     trellis = DenseTrellis(GroundSet(n), ConstantModel(n))
     counted = trellis.count_trees()
@@ -425,41 +407,36 @@ def cmd_count(args, out: Path) -> int:
 # parser
 
 
-def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations at the top level: --conf would parse, unread by main
     parser = argparse.ArgumentParser(
         prog="hctrellis",
         description="Exact inference over binary hierarchical clusterings.",
+        allow_abbrev=False,
     )
-    parser.add_argument("--config", help="JSON file of default flag values")
+    parser.add_argument("--config", help="JSON object of option values for the command")
     sub = parser.add_subparsers(dest="command", required=True)
-    created = []
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        _common_arguments(p)
-        created.append(p)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=".", help="output directory")
         return p
 
-    p = add("z", cmd_z, "partition function of a dataset")
-    p.add_argument("--data", required=True)
-    _model_arguments(p)
-
-    p = add("map", cmd_map, "best hierarchy of a dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--tree-name", default="map_tree.json")
-    _model_arguments(p)
-
-    p = add("marginal", cmd_marginal, "posterior probability of a cluster or fragment")
-    p.add_argument("--data", required=True)
-    p.add_argument("--cluster", help="comma-separated leaf indices")
-    p.add_argument("--fragment", help="tree file rooted at the cluster")
-    _model_arguments(p)
-
-    p = add("sample", cmd_sample, "exact posterior samples")
-    p.add_argument("--data", required=True)
-    p.add_argument("--count", type=int, default=1000)
-    _model_arguments(p)
+    for name, func, help_text in [
+        ("z", cmd_z, "partition function of a dataset"),
+        ("map", cmd_map, "best hierarchy of a dataset"),
+        ("marginal", cmd_marginal, "posterior probability of a cluster or fragment"),
+        ("sample", cmd_sample, "exact posterior samples"),
+    ]:
+        p = add(name, func, help_text)
+        p.add_argument("--data", required=True)
+        _model_arguments(p)
+    sub.choices["map"].add_argument("--tree-name", default="map_tree.json")
+    sub.choices["marginal"].add_argument("--cluster", help="comma-separated leaf indices")
+    sub.choices["marginal"].add_argument("--fragment", help="tree file rooted at the cluster")
+    sub.choices["sample"].add_argument("--count", type=int, default=1000)
 
     p = add("generate", cmd_generate, "write a corpus of toy jets")
     p.add_argument("--count", type=int, default=1)
@@ -493,29 +470,51 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p = add("count", cmd_count, "number of hierarchies over n leaves")
     p.add_argument("--n", type=int)
     p.add_argument("--data")
-
-    if config_defaults:
-        # set after all arguments exist: a config file then overrides the
-        # built-in defaults but never an explicitly passed flag
-        for p in created:
-            p.set_defaults(**config_defaults)
-
     return parser
+
+
+def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """``argv`` with the ``--config`` file's values as ``--flag=value`` tokens of the
+    chosen command ahead of its explicit flags, so argparse checks both alike
+    and explicit flags win; a key that only another command defines is skipped."""
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    path, k = None, 0
+    while k < len(argv) and argv[k] not in commands:  # the top level reads only --config
+        if argv[k] == "--config" and k + 1 < len(argv):
+            path, k = argv[k + 1], k + 1
+        elif argv[k].startswith("--config="):
+            path = argv[k].partition("=")[2]
+        k += 1
+    if path is None or k == len(argv):
+        return argv
+    try:
+        config = hio._json_object(json.loads(Path(path).read_text()), "config")
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"bad config file: {exc}") from None
+    flags = {
+        name: {a.dest: a.option_strings[0] for a in p._actions
+               if a.option_strings and a.dest != "help"}
+        for name, p in commands.items()
+    }
+    known, chosen = set().union(*flags.values()), flags[argv[k]]
+    tokens = []
+    for key, value in config.items():
+        if key not in known:
+            raise ValueError(f"config key {key!r} is not an option of any command")
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"config value of {key!r} must be a string or a number, "
+                             f"not {value!r}")
+        if key in chosen:
+            tokens.append(f"{chosen[key]}={value}")
+    return [*argv[:k + 1], *tokens, *argv[k + 1:]]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    config_defaults = None
-    if "--config" in argv:
-        idx = argv.index("--config")
-        try:
-            config_defaults = json.loads(Path(argv[idx + 1]).read_text())
-        except (IndexError, OSError, json.JSONDecodeError) as exc:
-            print(f"error: bad config file: {exc}", file=sys.stderr)
-            return 2
-    parser = build_parser(config_defaults)
+    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(parser, argv))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return args.func(args, out)

@@ -313,23 +313,24 @@ class Hierarchy:
         """Raise ValueError unless this is a well-formed nested binary tree."""
         if self.root == 0:
             raise ValueError("empty root cluster")
+        if self.root < 0:  # an infinite bit set, whose negative clusters can pass as leaves
+            raise ValueError("negative root cluster")
         if n is not None and self.root & ~full_mask(n):
             raise ValueError("root extends past the ground set")
         if require_root is not None and self.root != require_root:
             raise ValueError("root is not the required cluster")
-        seen = set()
+        # children partitioning their nonempty parent imply distinct nodes, 2k - 1 of them
+        internal = 0
         stack = [self.root]
         while stack:
             node = stack.pop()
-            if node in seen:
-                raise ValueError("cluster appears twice in the tree")
-            seen.add(node)
             if popcount(node) == 1:
                 if node in self.children:
                     raise ValueError("singleton listed as an internal node")
                 continue
             if node not in self.children:
                 raise ValueError(f"non-singleton cluster {node:#x} has no split")
+            internal += 1
             left, right = self.children[node]
             if left == 0 or right == 0:
                 raise ValueError("empty child cluster")
@@ -341,10 +342,8 @@ class Hierarchy:
                 raise ValueError("left child must hold the lowest leaf")
             stack.append(left)
             stack.append(right)
-        if len(self.children) != len(seen) - popcount(self.root):
+        if len(self.children) != internal:
             raise ValueError("unreachable entries in the child map")
-        if len(seen) != 2 * popcount(self.root) - 1:
-            raise ValueError("node count is not 2k-1")
 
 
 def relabel_hierarchy(h: Hierarchy, perm: list[int]) -> Hierarchy:

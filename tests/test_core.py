@@ -212,9 +212,15 @@ class TestHierarchy:
         # A negative int is an infinite bit set and -8 reads as a singleton:
         # three leaves under a root of popcount 2, one spare entry hiding it
         # from the child-map count.  Over nonnegative clusters the other
-        # checks already imply 2k - 1 nodes.
+        # checks already imply 2k - 1 nodes, so the negative root is refused.
         h = Hierarchy.from_canonical(-5, {-5: (1, -6), -6: (2, -8), 0b1100: (4, 8)})
-        with pytest.raises(ValueError, match="node count is not 2k-1"):
+        with pytest.raises(ValueError, match="negative root cluster"):
+            h.validate()
+
+    def test_validate_negative_root(self):
+        # -4 has popcount 1 and reads as a leaf, so this tree passed before
+        h = Hierarchy.from_canonical(-3, {-3: (1, -4)})
+        with pytest.raises(ValueError, match="negative root cluster"):
             h.validate()
 
     def test_validate_root_outside_ground(self):
@@ -258,6 +264,10 @@ class TestCounts:
     def test_num_hierarchies(self, n, expected):
         assert num_hierarchies(n) == expected
 
+    def test_num_hierarchies_needs_a_leaf(self):
+        with pytest.raises(ValueError, match="need at least one leaf"):
+            num_hierarchies(0)
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_split_term_count_matches_direct_sum(self, n):
         direct = sum(
@@ -278,6 +288,10 @@ class TestGroundSet:
         with pytest.raises(ValueError):
             GroundSet(2, ("a", "a"))
 
+    def test_label_count_must_match(self):
+        with pytest.raises(ValueError, match="label count does not match leaf count"):
+            GroundSet(2, ("a", "b", "c"))
+
     def test_bounds(self):
         with pytest.raises(ValueError):
             GroundSet(0)
@@ -288,6 +302,10 @@ class TestGroundSet:
 class TestBitHelpers:
     def test_mask_roundtrip(self):
         assert leaf_indices(mask_of([0, 3, 5])) == [0, 3, 5]
+
+    def test_mask_of_refuses_negative_index(self):
+        with pytest.raises(ValueError, match="leaf index must be nonnegative"):
+            mask_of([-1])
 
     def test_mask_of_refuses_repeated_index(self):
         # OR-ing a repeat away would name a smaller cluster than was asked for

@@ -16,11 +16,14 @@ from hctrellis import (
 from hctrellis.cli import main
 from hctrellis.datasets import greedy_adversarial_weights, random_similarity_weights
 from hctrellis.io import (
+    Dataset,
     build_model,
     dataset_from_dict,
+    dataset_to_dict,
     fourvector_dataset,
     hierarchy_to_tree_dict,
     jet_from_dict,
+    file_sha256,
     jet_to_dict,
     load_dataset,
     load_jet,
@@ -55,6 +58,10 @@ class TestDatasetFiles:
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError):
             dataset_from_dict({"schema": "parquet", "n": 2})
+
+    def test_unknown_schema_not_written(self):
+        with pytest.raises(ValueError, match="unknown dataset schema 'parquet'"):
+            dataset_to_dict(Dataset("parquet", 2))
 
     def test_schema_model_compatibility(self):
         pw = pairwise_dataset(random_similarity_weights(3, 0))
@@ -629,11 +636,19 @@ class TestCliRefusals:
          "singleton listed as an internal node"),
         ("tree", {"n": 2, "parents": [-1, 0, 0], "clusters": ["3", "3", "0"]},
          "empty child cluster"),
+        ("tree", {"n": 2, "parents": [0, 0], "clusters": ["3", "1"]}, "tree file has no root"),
+        ("tree", {"n": 2, "parents": [-1, 0], "clusters": ["3", "1"]},
+         "every internal node needs exactly two children"),
+        ("dataset", {"schema": "pairwise", "n": 2, "labels": ["a", "a"]},
+         "leaf labels must be unique"),
+        ("dataset", {"schema": "pairwise", "n": 2, "labels": ["a", "b", "c"]},
+         "label count does not match leaf count"),
     ], ids=["tree_index_past_end", "tree_index_below_root", "dataset_list",
             "dataset_weights_int", "dataset_leaves_int", "trellis_list", "trellis_vertices_int",
             "dataset_n_null", "dataset_labels_int", "fourvector_labels_int", "tree_parents_int",
             "trellis_n_null", "trellis_ordering_int", "trellis_ordering_list",
-            "tree_empty_root", "tree_singleton_split", "tree_empty_child"])
+            "tree_empty_root", "tree_singleton_split", "tree_empty_child", "tree_no_root",
+            "tree_one_child", "dataset_labels_repeated", "dataset_labels_one_too_many"])
     def test_malformed_input_file_exits_2(self, tmp_path, capsys, kind, payload, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
@@ -647,6 +662,7 @@ class TestCliRefusals:
         assert main([*args, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert message in err and "internal error" not in err
+        assert not (tmp_path / "records.jsonl").exists()
 
     @pytest.mark.parametrize("args, message", [
         (["generate", "--root", "100,0,80"], "--root needs E,px,py,pz"),
@@ -706,7 +722,8 @@ class TestCliRefusals:
         (["--root", "100,0,inf,0"], "root.py"),
         # t_cut so small that the jet never stops splitting
         (["--tcut", "1e-300"], "leaves"),
-    ], ids=["tcut_nan", "root_inf", "tcut_tiny"])
+        (["--root=-1,0,0,0"], "root energy must be positive"),
+    ], ids=["tcut_nan", "root_inf", "tcut_tiny", "root_negative_energy"])
     def test_generate_refuses_pathological_config(self, tmp_path, capsys, args, message):
         assert main(["generate", "--count", "1", *args, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -779,6 +796,106 @@ class TestCliRefusals:
         args = ["bench", "--n-max", "4", "--model", "dasgupta", flag, "-1", "--out", str(tmp_path)]
         assert main(args) == 2
         assert "must both be positive" in capsys.readouterr().err
+
+    def test_internal_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        import hctrellis.cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("fill failed")
+
+        monkeypatch.setattr(hctrellis.cli, "DenseTrellis", broken)
+        data = tmp_path / "d.json"
+        _write_two_leaf_dataset(data)
+        assert main(["z", "--data", str(data), "--out", str(tmp_path)]) == 1
+        assert "internal error: fill failed" in capsys.readouterr().err
+        assert not (tmp_path / "records.jsonl").exists()
+
+
+class TestCliConfig:
+    """A config file's values are read as the command's flags, ahead of the
+    explicit ones."""
+
+    def _run(self, tmp_path, config, *args):
+        data = tmp_path / "d.json"
+        _write_two_leaf_dataset(data)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        command = [a.replace("{data}", str(data)) for a in args]
+        return main(["--config", str(path), *command, "--out", str(tmp_path / "out")])
+
+    def _record(self, tmp_path):
+        return json.loads((tmp_path / "out" / "records.jsonl").read_text())
+
+    @pytest.mark.parametrize("config, message", [
+        ([{"model": "dasgupta"}], "a config file must hold a JSON object, not a list"),
+        ({"bogus_flag": 3}, "config key 'bogus_flag' is not an option of any command"),
+        ({"command": "map"}, "config key 'command' is not an option of any command"),
+        ({"seed": True}, "config value of 'seed' must be a string or a number"),
+        ({"beta": None}, "config value of 'beta' must be a string or a number"),
+    ], ids=["list", "unknown_key", "command_key", "boolean_value", "null_value"])
+    def test_refused_config_exits_2(self, tmp_path, capsys, config, message):
+        assert self._run(tmp_path, config, "z", "--data", "{data}") == 2
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
+        assert not (tmp_path / "out" / "records.jsonl").exists()
+
+    def test_value_the_flag_refuses_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self._run(tmp_path, {"seed": 1.5}, "z", "--data", "{data}")
+        assert exc.value.code == 2
+        assert "argument --seed: invalid int value: '1.5'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "records.jsonl").exists()
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "d.json"
+        _write_two_leaf_dataset(data)
+        args = ["--config", str(tmp_path / "none.json"), "z", "--data", str(data),
+                "--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        assert "bad config file" in capsys.readouterr().err
+
+    def test_equals_form_is_read(self, tmp_path):
+        data = tmp_path / "d.json"
+        _write_two_leaf_dataset(data)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": "dasgupta", "beta": 2.0}))
+        args = [f"--config={config}", "z", "--data", str(data), "--out", str(tmp_path / "out")]
+        assert main(args) == 0
+        record = self._record(tmp_path)
+        assert (record["model"], record["beta"]) == ("dasgupta", 2.0)
+
+    def test_abbreviated_option_refused(self, tmp_path):
+        data = tmp_path / "d.json"
+        _write_two_leaf_dataset(data)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": "dasgupta"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--conf", str(config), "z", "--data", str(data), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_explicit_flag_wins(self, tmp_path):
+        config = {"model": "dasgupta", "beta": 2.0}
+        assert self._run(tmp_path, config, "z", "--data", "{data}", "--beta", "3") == 0
+        record = self._record(tmp_path)
+        assert (record["model"], record["beta"]) == ("dasgupta", 3.0)
+
+    def test_key_of_another_command_skipped(self, tmp_path):
+        assert self._run(tmp_path, {"count": 5, "beta": 2.0}, "z", "--data", "{data}") == 0
+        record = self._record(tmp_path)
+        assert record["beta"] == 2.0 and "count" not in record
+
+    def test_config_supplies_data(self, tmp_path):
+        data = tmp_path / "d.json"
+        assert self._run(tmp_path, {"data": str(data), "model": "dasgupta"}, "z") == 0
+        assert self._record(tmp_path)["dataset_sha256"] == file_sha256(data)
+
+    def test_dest_names_and_negative_values(self, tmp_path, capsys):
+        # keys are the names argparse stores (lam for --lambda), and a value
+        # starting with a minus sign still reads as the flag's value
+        assert self._run(tmp_path, {"lam": 0.7, "root": "-1,0,0,0"}, "generate") == 2
+        assert "root energy must be positive" in capsys.readouterr().err
+        assert self._run(tmp_path, {"lam": 0.7, "beam_width": 2}, "generate") == 0
+        assert self._record(tmp_path)["lam"] == 0.7
 
 
 class TestCliModelBinding:

@@ -51,6 +51,10 @@ class TestPairwiseWeights:
         with pytest.raises(ValueError):
             PairwiseWeights(m)
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="weight matrix must be square"):
+            PairwiseWeights(np.zeros((2, 3)))
+
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError):
             PairwiseWeights(np.eye(3))
@@ -206,6 +210,10 @@ class TestGinkgoModel:
         model = GinkgoModel(payloads, lam=1.5)
         assert model.log_psi(1, 2) == LOG_ZERO
 
+    def test_rejects_three_component_payloads(self):
+        with pytest.raises(ValueError, match="payloads must be four-vectors"):
+            GinkgoModel([(5.0, 0.0, 1.0), (4.0, 1.0, 0.0)], lam=1.5)
+
     def test_rejects_nonpositive_energy(self):
         with pytest.raises(ValueError):
             GinkgoModel([FourVector(0.0, 0.0, 0.0, 0.0)], lam=1.5)
@@ -255,6 +263,11 @@ class TestGinkgoModel:
 
 
 class TestPsiEntryPoints:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_empty_sibling_refused(self, kind):
+        with pytest.raises(ValueError, match="sibling clusters must be nonempty"):
+            make_model(kind, 4, 0).log_psi(0, 1)
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_scalar_and_batched_agree_bitwise(self, kind):
         # every split of every cluster at n = 10, smaller cluster first, and

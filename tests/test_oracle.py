@@ -52,6 +52,29 @@ def test_constant_model_uniform_posterior():
             assert log_p == pytest.approx(-math.log(num_hierarchies(n)), abs=1e-12)
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_one_leaf_summary(kind):
+    # one tree with no splits: the zero-width potential sum
+    summary = oracle_summary(GroundSet(1), make_model(kind, 1, seed=0))
+    assert summary.num_trees() == 1 and summary.log_z == 0.0
+    assert summary.map_log_potential == 0.0 and summary.map_hierarchy().root == 1
+
+
+def test_num_trees_counts_every_hierarchy():
+    for n in (2, 4, 6):
+        assert oracle_summary(GroundSet(n), ConstantModel(n)).num_trees() == num_hierarchies(n)
+
+
+def test_summary_refuses_model_of_another_leaf_count():
+    with pytest.raises(ValueError, match="model and ground set disagree on the leaf count"):
+        oracle_summary(GroundSet(4), ConstantModel(5))
+
+
+def test_summary_needs_a_leaf():
+    with pytest.raises(ValueError, match="need at least one leaf"):
+        oracle_summary(0, ConstantModel(1))
+
+
 def test_two_leaves_single_tree_posterior():
     summary = oracle_summary(GroundSet(2), make_model("dasgupta", 2, seed=0))
     table = summary.posterior_table()

@@ -253,3 +253,8 @@ def test_two_bad_vertices_report_the_smaller():
                 0b001: [], 0b010: [], 0b100: []}
     with pytest.raises(ValueError, match=r"\(0x1, 0x1\) does not split vertex 0x3"):
         SparseTrellis(GroundSet(3), vertices)
+
+
+def test_build_from_no_trees_refused():
+    with pytest.raises(ValueError, match="need at least one seed tree"):
+        build_from_trees([])
